@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import stats
@@ -310,11 +310,19 @@ def write_curves_csv(curves: RateCurves, path) -> None:
                              repr(float(curves.pofr[i]))])
 
 
+def _bands_doc(bands: ScoreBands) -> dict[str, str]:
+    """Bands as decimal strings, the form bands and gallery files share."""
+    return {name: repr(float(value)) for name, value in asdict(bands).items()}
+
+
+def _bands_from_doc(doc) -> ScoreBands:
+    """Inverse of _bands_doc; KeyError or TypeError on a malformed doc."""
+    return ScoreBands(*(float(doc[f.name]) for f in fields(ScoreBands)))
+
+
 def bands_to_json(bands: ScoreBands) -> str:
     """Bands as JSON with decimal strings, byte-stable across runs."""
-    doc = {"n": repr(float(bands.n)), "p": repr(float(bands.p)),
-           "target_rate": repr(float(bands.target_rate))}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_bands_doc(bands), indent=2, sort_keys=True) + "\n"
 
 
 def write_bands_json(bands: ScoreBands, path) -> None:
@@ -326,7 +334,6 @@ def read_bands_json(path) -> ScoreBands:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        return ScoreBands(n=float(doc["n"]), p=float(doc["p"]),
-                          target_rate=float(doc["target_rate"]))
+        return _bands_from_doc(doc)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a bands document ({exc})") from None

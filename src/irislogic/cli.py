@@ -109,14 +109,15 @@ def cmd_decide(args) -> int:
 
 
 def cmd_enroll(args) -> int:
+    bands = args.bands and calibration.read_bands_json(args.bands)
     if os.path.exists(args.gallery):
         gallery = enrollment.load_gallery(args.gallery)
+        if bands and bands != gallery.bands:
+            return _fail("bands_mismatch", args.bands, EXIT_USAGE)
+    elif bands:
+        gallery = enrollment.Gallery(bands=bands)
     else:
-        if args.bands is None:
-            raise ValueError(
-                "creating a new gallery requires --bands")
-        gallery = enrollment.Gallery(
-            bands=calibration.read_bands_json(args.bands))
+        raise ValueError("creating a new gallery requires --bands")
     payload = bytes.fromhex(args.bits_hex)
     bit_length = gallery.bit_length() or len(payload) * 8
     candidate = enrollment.Template(

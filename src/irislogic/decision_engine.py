@@ -25,6 +25,8 @@ from .octal_algebra import (
     BitTriple,
     ModalString,
     Octal,
+    bits_to_octal,
+    modal_to_bits,
     octal_to_bits,
 )
 
@@ -114,26 +116,6 @@ def classify(score: float, bands: ScoreBands) -> ModalString:
     return MODAL_O
 
 
-_POSITIVE = {MODAL_I: Response.ACCEPTED, MODAL_O: Response.REPEAT,
-             MODAL_D: Response.REJECTED}
-_NEGATIVE = {MODAL_I: Response.REJECTED, MODAL_O: Response.REPEAT,
-             MODAL_D: Response.ACCEPTED}
-
-
-def decide(claim: Claim, score: float, bands: ScoreBands) -> DecisionRecord:
-    """Adjudicate one claim against one score.
-
-    A positive claim is accepted on I and rejected on D; a negative claim
-    the other way around; O always means try again.
-    """
-    modal = classify(score, bands)
-    table = _POSITIVE if claim.polarity is Polarity.POSITIVE else _NEGATIVE
-    out_octal, _, meaning = output_encoding(modal)
-    return DecisionRecord(claim=claim, score=float(score), modal=modal,
-                          response=table[modal], output_octal=out_octal,
-                          output_meaning=meaning)
-
-
 # fixed output rows keyed by the modal value's integer code; the meaning
 # label spells out the fate of a positive (P) and negative (N) claim,
 # A'ccepted or R'ejected
@@ -155,29 +137,43 @@ def output_encoding(modal: "str | ModalString") -> tuple[Octal, BitTriple, str]:
     return Octal(code[0]), octal_to_bits(code[0]), code[1]
 
 
-# the defuzzification bijection from modal values to integer codes
-_PSI: dict[str, int] = {
-    "E": 0, "D": 1, "O": 2, "I": 4, "OD": 3, "ID": 5, "IO": 6, "IOD": 7,
+def psi(m: "str | ModalString") -> Octal:
+    """Integer code of a modal value: I weighs 4, O weighs 2, D weighs 1."""
+    return bits_to_octal(modal_to_bits(m))
+
+
+# decide()'s one lookup: response and output row per polarity and outcome
+_DECISIONS = {
+    polarity: {MODAL_I: (on_i, output_encoding(MODAL_I)),
+               MODAL_O: (Response.REPEAT, output_encoding(MODAL_O)),
+               MODAL_D: (on_d, output_encoding(MODAL_D))}
+    for polarity, on_i, on_d in [
+        (Polarity.POSITIVE, Response.ACCEPTED, Response.REJECTED),
+        (Polarity.NEGATIVE, Response.REJECTED, Response.ACCEPTED)]
 }
 
 
-def psi(m: "str | ModalString") -> Octal:
-    """Integer code of a modal value under the fixed correspondence
-    E,D,O,I,OD,ID,IO,IOD -> 0,1,2,4,3,5,6,7."""
-    return Octal(_PSI[str(ModalString(m))])
+def decide(claim: Claim, score: float, bands: ScoreBands) -> DecisionRecord:
+    """Adjudicate one claim against one score.
+
+    A positive claim is accepted on I and rejected on D; a negative claim
+    the other way around; O always means try again.
+    """
+    modal = classify(score, bands)
+    response, (out_octal, _, meaning) = _DECISIONS[claim.polarity][modal]
+    return DecisionRecord(claim=claim, score=float(score), modal=modal,
+                          response=response, output_octal=out_octal,
+                          output_meaning=meaning)
 
 
 #: crisp value of an undecidable outcome
 UNDECIDABLE = None
+_CRISP = {MODAL_I: 1, MODAL_D: 0, MODAL_O: UNDECIDABLE}
 
 
 def defuzzify(modal: "str | ModalString") -> int | None:
     """Crisp bit for an atomic outcome: 1 for I, 0 for D, UNDECIDABLE for O."""
-    m = ModalString(modal)
-    if m == MODAL_I:
-        return 1
-    if m == MODAL_D:
-        return 0
-    if m == MODAL_O:
-        return UNDECIDABLE
+    m = modal if isinstance(modal, ModalString) else ModalString(modal)
+    if m in _CRISP:
+        return _CRISP[m]
     raise ValueError(f"not an atomic outcome: {m}")

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .calibration import _bands_doc, _bands_from_doc
 from .decision_engine import (
     Claim,
     DecisionRecord,
@@ -283,11 +284,7 @@ def bits_from_hex(hex_string: str, bit_length: int) -> np.ndarray:
 def save_gallery(gallery: Gallery, path) -> None:
     """Write the gallery as a stable JSON document."""
     doc = {
-        "bands": {
-            "n": repr(float(gallery.bands.n)),
-            "p": repr(float(gallery.bands.p)),
-            "target_rate": repr(float(gallery.bands.target_rate)),
-        },
+        "bands": _bands_doc(gallery.bands),
         "bit_length": gallery.bit_length(),
         "templates": [
             {"template_id": t.template_id, "identity": t.identity,
@@ -303,9 +300,7 @@ def load_gallery(path) -> Gallery:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        bands = ScoreBands(n=float(doc["bands"]["n"]),
-                           p=float(doc["bands"]["p"]),
-                           target_rate=float(doc["bands"]["target_rate"]))
+        bands = _bands_from_doc(doc["bands"])
         bit_length = doc["bit_length"]
         templates = [
             Template(bits=bits_from_hex(entry["bits"], bit_length),

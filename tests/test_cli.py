@@ -237,6 +237,33 @@ class TestEnrollCommand:
         assert code == 0
         assert out == "enrolled=bob_1 gallery_size=2\n"
 
+    def test_existing_gallery_bands_must_match(self, run, tmp_path,
+                                               bands_json, base_bits):
+        gallery = tmp_path / "gallery.json"
+        distinct = base_bits.copy()
+        distinct[:256] = 1 - distinct[:256]
+        for identity, bits in (("alice", base_bits), ("bob", distinct)):
+            code, out, _ = run(["enroll", "--gallery", str(gallery),
+                                "--bands", str(bands_json), "--identity",
+                                identity, "--template-id", f"{identity}_1",
+                                "--bits-hex", bits_to_hex(bits)])
+            assert code == 0
+        assert out == "enrolled=bob_1 gallery_size=2\n"
+
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"n": "0.5", "p": "0.75",
+                                     "target_rate": "1e-06"}))
+        before = gallery.read_bytes()
+        distinct[256:] = 1 - distinct[256:]
+        code, out, err = run(["enroll", "--gallery", str(gallery), "--bands",
+                              str(other), "--identity", "carol",
+                              "--template-id", "carol_1", "--bits-hex",
+                              bits_to_hex(distinct)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error=bands_mismatch detail={other}\n"
+        assert gallery.read_bytes() == before
+
     def test_new_gallery_requires_bands(self, run, tmp_path, base_bits):
         code, _, err = run(["enroll", "--gallery",
                             str(tmp_path / "g.json"), "--identity", "a",

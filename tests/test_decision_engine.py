@@ -153,6 +153,12 @@ def test_psi_matches_frozen_map():
     for label, code in PSI.items():
         assert psi(label) == code
         assert psi(ModalString(label)) == code
+    assert psi("OI") == 6
+    assert psi("DOI") == 7
+    assert psi("DI") == 5
+    for bad in ("X", "IX"):
+        with pytest.raises(ValueError):
+            psi(bad)
 
 
 def test_psi_equals_bit_weight_composition():
@@ -182,3 +188,6 @@ def test_defuzzify():
         defuzzify("ID")
     with pytest.raises(ValueError):
         defuzzify("E")
+    for composite in (ModalString("IO"), ModalString("")):
+        with pytest.raises(ValueError):
+            defuzzify(composite)

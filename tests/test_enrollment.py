@@ -327,6 +327,36 @@ class TestPersistence:
         save_gallery(gallery, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_saved_layout_is_pinned(self, tmp_path):
+        gallery = Gallery(bands=BANDS, enrolled=[
+            tpl([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1], "alice", "alice_1"),
+            tpl([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0], "bob", "bob_1"),
+        ])
+        path = tmp_path / "gallery.json"
+        save_gallery(gallery, path)
+        assert path.read_text() == """\
+{
+  "bands": {
+    "n": "0.6",
+    "p": "0.75",
+    "target_rate": "1e-06"
+  },
+  "bit_length": 12,
+  "templates": [
+    {
+      "bits": "b2d0",
+      "identity": "alice",
+      "template_id": "alice_1"
+    },
+    {
+      "bits": "69e0",
+      "identity": "bob",
+      "template_id": "bob_1"
+    }
+  ]
+}
+"""
+
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"templates": []}))
