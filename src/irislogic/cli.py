@@ -90,11 +90,13 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     templates = enrollment.generate_population(
         args.identities, args.samples_per, args.bits, args.flip, args.seed)
-    rows = ((f"{a.template_id}:{b.template_id}",
-             calibration.GENUINE_LABEL if a.identity == b.identity
+    i, j, scores = enrollment.pair_scores(templates)
+    rows = ((f"{templates[a].template_id}:{templates[b].template_id}",
+             calibration.GENUINE_LABEL
+             if templates[a].identity == templates[b].identity
              else calibration.IMPOSTER_LABEL,
              s)
-            for a, b, s in enrollment.pair_scores(templates))
+            for a, b, s in zip(i.tolist(), j.tolist(), scores.tolist()))
     calibration.write_scores_csv(args.out, rows)
     return EXIT_OK
 
@@ -114,6 +116,9 @@ def cmd_enroll(args) -> int:
         gallery = enrollment.load_gallery(args.gallery)
         if bands and bands != gallery.bands:
             return _fail("bands_mismatch", args.bands, EXIT_USAGE)
+        if any(t.template_id == args.template_id for t in gallery.enrolled):
+            return _fail("duplicate_template_id", args.template_id,
+                         EXIT_USAGE)
     elif bands:
         gallery = enrollment.Gallery(bands=bands)
     else:

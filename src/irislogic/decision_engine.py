@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .octal_algebra import (
     MODAL_D,
     MODAL_I,
@@ -140,6 +142,19 @@ def output_encoding(modal: "str | ModalString") -> tuple[Octal, BitTriple, str]:
 def psi(m: "str | ModalString") -> Octal:
     """Integer code of a modal value: I weighs 4, O weighs 2, D weighs 1."""
     return bits_to_octal(modal_to_bits(m))
+
+
+#: psi codes of the atomic outcomes, as classify_many returns them
+CODE_I, CODE_O, CODE_D = map(np.uint8, map(psi, (MODAL_I, MODAL_O, MODAL_D)))
+
+
+def classify_many(scores, bands: ScoreBands) -> np.ndarray:
+    """Array form of classify: the uint8 psi code of each score's band."""
+    s = np.asarray(scores, dtype=np.float64)
+    outside = s[~((s >= 0.0) & (s <= 1.0))]
+    if outside.size:
+        raise ValueError(f"score must be in [0, 1], got {float(outside[0])!r}")
+    return np.select([s >= bands.p, s <= bands.n], [CODE_I, CODE_D], CODE_O)
 
 
 # decide()'s one lookup: response and output row per polarity and outcome

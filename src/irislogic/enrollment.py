@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .calibration import _bands_doc, _bands_from_doc
 from .decision_engine import (
+    CODE_D,
+    CODE_I,
+    CODE_O,
     Claim,
     DecisionRecord,
     Response,
     ScoreBands,
-    UNDECIDABLE,
-    classify,
+    classify,  # unused here; kept bound for the benchmark's tracer
+    classify_many,
     decide,
-    defuzzify,
+    defuzzify,  # unused here; kept bound for the benchmark's tracer
     psi,
 )
 from .octal_algebra import MODAL_D, MODAL_I, MODAL_O, Octal, sum_
@@ -82,23 +84,31 @@ def generate_population(identities: int, samples_per_identity: int,
     return out
 
 
-def pair_scores(templates: list[Template]) -> list[tuple[Template, Template, float]]:
-    """Similarity for every unordered pair, in generation order.
+def _agreement_rows(templates: list[Template]):
+    """Per k, exact agreement counts of template k against every later one:
+    XOR and popcount on bits packed once; zero padding bits never differ."""
+    for t in templates[1:]:
+        if t.bits.size != templates[0].bits.size:
+            raise ValueError(f"bit lengths differ: "
+                             f"{templates[0].bits.size} vs {t.bits.size}")
+    bits = np.array([t.bits for t in templates], dtype=np.uint8)
+    packed = np.packbits(bits, axis=-1)
+    for k, t in enumerate(templates):
+        yield t.bits.size - np.bitwise_count(
+            packed[k + 1:] ^ packed[k]).sum(axis=1)
 
-    Agreement counts come from two float64 matrix products; the counts are
-    integers below the bit length, so the result is exact and matches
-    similarity() bit for bit.
+
+def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
+    """Similarity for every unordered pair, as columns (i, j, score).
+
+    i < j index into templates, in generation order; each score is an exact
+    agreement count over the bit length, equal to similarity() bit for bit.
     """
+    i, j = np.triu_indices(len(templates), 1)
     if len(templates) < 2:
-        return []
-    m = np.stack([t.bits for t in templates]).astype(np.float64)
-    agreements = m @ m.T + (1.0 - m) @ (1.0 - m).T
-    sims = agreements / m.shape[1]
-    out = []
-    for i in range(len(templates)):
-        for j in range(i + 1, len(templates)):
-            out.append((templates[i], templates[j], float(sims[i, j])))
-    return out
+        return i, j, np.empty(0)
+    agreements = np.concatenate(list(_agreement_rows(templates)))
+    return i, j, agreements / templates[0].bits.size
 
 
 @dataclass(frozen=True)
@@ -123,15 +133,10 @@ class PartitionReport:
 
 def partition(scores, bands: ScoreBands) -> PartitionReport:
     """Split pair scores into enrollable (I or D) and undecidable (O)."""
-    genuine = imposter = uncertain = 0
-    for s in scores:
-        m = classify(s, bands)
-        if m == MODAL_I:
-            genuine += 1
-        elif m == MODAL_D:
-            imposter += 1
-        else:
-            uncertain += 1
+    codes = classify_many(scores, bands)
+    genuine = int((codes == CODE_I).sum())
+    imposter = int((codes == CODE_D).sum())
+    uncertain = codes.size - genuine - imposter
     eicp_tag = sum_(psi(MODAL_I), psi(MODAL_D))
     uicp_tag = psi(MODAL_O)
     return PartitionReport(
@@ -172,9 +177,10 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
     On rejection the gallery is untouched and the undecidable targets are
     listed. The first template always enrolls.
     """
-    conflicts = tuple(
-        t.template_id for t in gallery.enrolled
-        if classify(similarity(candidate, t), gallery.bands) == MODAL_O)
+    agreements = next(_agreement_rows([candidate, *gallery.enrolled]))
+    codes = classify_many(agreements / candidate.bits.size, gallery.bands)
+    conflicts = tuple(gallery.enrolled[k].template_id
+                      for k in np.flatnonzero(codes == CODE_O))
     if conflicts:
         return EnrollResult(accepted=False, conflicting_ids=conflicts)
     gallery.enrolled.append(candidate)
@@ -243,22 +249,22 @@ class ConsistencyReport:
 
 
 def consistency_check(gallery: Gallery) -> ConsistencyReport:
-    """Re-classify every enrolled pair from scratch."""
+    """Re-classify every enrolled pair from scratch, one row at a time."""
+    enrolled = gallery.enrolled
+    identities = np.array([t.identity for t in enrolled])
     undecidable: list[tuple[str, str, float]] = []
     ones = zeros = errors = total = 0
-    for a, b in combinations(gallery.enrolled, 2):
-        total += 1
-        s = similarity(a, b)
-        crisp = defuzzify(classify(s, gallery.bands))
-        if crisp is UNDECIDABLE:
-            undecidable.append((a.template_id, b.template_id, s))
-            continue
-        if crisp == 1:
-            ones += 1
-        else:
-            zeros += 1
-        if crisp != int(a.identity == b.identity):
-            errors += 1
+    for k, agreements in enumerate(_agreement_rows(enrolled)):
+        scores = agreements / enrolled[k].bits.size
+        codes = classify_many(scores, gallery.bands)
+        undecidable += [(enrolled[k].template_id,
+                         enrolled[k + 1 + m].template_id, float(scores[m]))
+                        for m in np.flatnonzero(codes == CODE_O)]
+        wrong = np.where(identities[k + 1:] == identities[k], CODE_D, CODE_I)
+        errors += int((codes == wrong).sum())
+        ones += int((codes == CODE_I).sum())
+        zeros += int((codes == CODE_D).sum())
+        total += codes.size
     return ConsistencyReport(passed=not undecidable, pair_count=total,
                              undecidable_pairs=tuple(undecidable),
                              crisp_one_count=ones, crisp_zero_count=zeros,
@@ -274,9 +280,10 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 
 def bits_from_hex(hex_string: str, bit_length: int) -> np.ndarray:
+    """Unpack exactly ceil(bit_length / 8) bytes; padding bits must be 0."""
     raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
     bits = np.unpackbits(raw)
-    if bits.size < bit_length or (bits[bit_length:] != 0).any():
+    if raw.size != -(-bit_length // 8) or (bits[bit_length:] != 0).any():
         raise ValueError("hex payload does not match the bit length")
     return bits[:bit_length].copy()
 
@@ -310,4 +317,10 @@ def load_gallery(path) -> Gallery:
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a gallery document ({exc})") from None
+    seen: set[str] = set()
+    for t in templates:
+        if t.template_id in seen:
+            raise ValueError(
+                f"{path}: duplicate template_id {t.template_id!r}")
+        seen.add(t.template_id)
     return Gallery(bands=bands, enrolled=templates)

@@ -181,11 +181,10 @@ def test_criterion_07_discomfort_arithmetic():
 
 def _population_scores(seed):
     templates = generate_population(50, 10, 1024, 0.15, seed)
-    scored = pair_scores(templates)
-    genuine = [s for a, b, s in scored if a.identity == b.identity]
-    imposter = [s for a, b, s in scored if a.identity != b.identity]
-    return LabeledScores(genuine=np.asarray(genuine),
-                         imposter=np.asarray(imposter))
+    i, j, scores = pair_scores(templates)
+    identity = np.array([t.identity for t in templates])
+    genuine = identity[i] == identity[j]
+    return LabeledScores(genuine=scores[genuine], imposter=scores[~genuine])
 
 
 def test_criterion_08_calibration_properties():

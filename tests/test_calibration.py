@@ -286,10 +286,10 @@ class TestDeriveBands:
 
     def test_real_population_end_to_end(self):
         templates = generate_population(40, 5, 512, 0.1, seed=21)
-        scored = pair_scores(templates)
-        samples = make_samples(
-            [s for a, b, s in scored if a.identity == b.identity],
-            [s for a, b, s in scored if a.identity != b.identity])
+        i, j, scores = pair_scores(templates)
+        identity = np.array([t.identity for t in templates])
+        genuine = identity[i] == identity[j]
+        samples = make_samples(scores[genuine], scores[~genuine])
         curves = empirical_curves(samples, grid_step=1e-3)
         bands = derive_bands(curves, 1e-3)
         assert bands.n < bands.p

@@ -264,6 +264,42 @@ class TestEnrollCommand:
         assert err == f"error=bands_mismatch detail={other}\n"
         assert gallery.read_bytes() == before
 
+    def test_duplicate_template_id_rejected(self, run, tmp_path, bands_json,
+                                            base_bits):
+        gallery = tmp_path / "gallery.json"
+        distinct = base_bits.copy()
+        distinct[:256] = 1 - distinct[:256]
+        code, _, _ = run(["enroll", "--gallery", str(gallery), "--bands",
+                          str(bands_json), "--identity", "alice",
+                          "--template-id", "a_1", "--bits-hex",
+                          bits_to_hex(base_bits)])
+        assert code == 0
+        before = gallery.read_bytes()
+        for identity, bits in (("alice", base_bits), ("bob", distinct)):
+            code, out, err = run(["enroll", "--gallery", str(gallery),
+                                  "--identity", identity, "--template-id",
+                                  "a_1", "--bits-hex", bits_to_hex(bits)])
+            assert code == 2
+            assert out == ""
+            assert err == "error=duplicate_template_id detail=a_1\n"
+            assert gallery.read_bytes() == before
+
+    def test_bits_hex_must_match_gallery_length(self, run, tmp_path,
+                                                bands_json):
+        gallery = tmp_path / "gallery.json"
+        code, _, _ = run(["enroll", "--gallery", str(gallery), "--bands",
+                          str(bands_json), "--identity", "alice",
+                          "--template-id", "a_1", "--bits-hex", "60f5"])
+        assert code == 0
+        before = gallery.read_bytes()
+        code, out, err = run(["enroll", "--gallery", str(gallery),
+                              "--identity", "bob", "--template-id", "b_1",
+                              "--bits-hex", "60f50000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error=invalid_input")
+        assert gallery.read_bytes() == before
+
     def test_new_gallery_requires_bands(self, run, tmp_path, base_bits):
         code, _, err = run(["enroll", "--gallery",
                             str(tmp_path / "g.json"), "--identity", "a",

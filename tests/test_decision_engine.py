@@ -1,10 +1,14 @@
 """Banding, claim adjudication, output rows, and defuzzification."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from irislogic.decision_engine import (
+    CODE_D,
+    CODE_I,
+    CODE_O,
     DEFAULT_BANDS,
     UNDECIDABLE,
     Claim,
@@ -12,6 +16,7 @@ from irislogic.decision_engine import (
     Response,
     ScoreBands,
     classify,
+    classify_many,
     decide,
     defuzzify,
     output_encoding,
@@ -74,6 +79,9 @@ def test_classify_rejects_out_of_range():
         classify(-0.01, BANDS)
     with pytest.raises(ValueError):
         classify(1.01, BANDS)
+    for bad in (-0.01, 1.01, float("nan")):
+        with pytest.raises(ValueError, match="score must be in"):
+            classify_many([0.5, bad], BANDS)
 
 
 @given(scores)
@@ -86,6 +94,15 @@ def test_classify_is_atomic_and_threshold_consistent(score):
         assert m == MODAL_D
     else:
         assert m == MODAL_O
+
+
+@given(st.lists(st.one_of(st.sampled_from([BANDS.n, BANDS.p, 0.0, 1.0]),
+                         scores)))
+def test_classify_many_matches_classify(batch):
+    codes = classify_many(batch, BANDS)
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == [int(psi(classify(s, BANDS))) for s in batch]
+    assert (CODE_I, CODE_O, CODE_D) == (4, 2, 1)
 
 
 def test_decision_matrix():

@@ -1,13 +1,21 @@
 """Templates, similarity, population synthesis, gated enrollment, audits."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irislogic.decision_engine import Claim, Polarity, Response, ScoreBands
+from irislogic.decision_engine import (
+    Claim,
+    Polarity,
+    Response,
+    ScoreBands,
+    classify,
+    defuzzify,
+)
 from irislogic.enrollment import (
     Gallery,
     Template,
@@ -23,6 +31,7 @@ from irislogic.enrollment import (
     similarity,
     verify,
 )
+from irislogic.octal_algebra import MODAL_O
 
 BANDS = ScoreBands(n=0.6, p=0.75, target_rate=1e-6)
 
@@ -36,6 +45,23 @@ def flipped(base, start, stop, identity, template_id):
     bits = base.copy()
     bits[start:stop] = 1 - bits[start:stop]
     return Template(bits=bits, identity=identity, template_id=template_id)
+
+
+def noisy_copies(bit_length, count, seed):
+    """Copies of one random code, each with its own flip rate in [0, 0.5),
+    so pair scores spread over all three bands."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2, bit_length, dtype=np.uint8)
+    out = []
+    for k, rate in enumerate(rng.random(count) * 0.5):
+        flips = rng.random(bit_length) < rate
+        out.append(tpl(np.where(flips, 1 - base, base), f"id{k % 3}",
+                       f"t{k}"))
+    return out
+
+
+random_populations = st.tuples(st.integers(1, 300), st.integers(1, 8),
+                               st.integers(0, 2 ** 32 - 1))
 
 
 @pytest.fixture
@@ -74,6 +100,12 @@ class TestSimilarity:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             similarity(tpl([1, 0]), tpl([1, 0, 1]))
+        with pytest.raises(ValueError, match="bit lengths differ: 2 vs 3"):
+            pair_scores([tpl([1, 0]), tpl([1, 0, 1])])
+        gallery = Gallery(bands=BANDS, enrolled=[tpl([1, 0, 1])])
+        with pytest.raises(ValueError, match="bit lengths differ: 2 vs 3"):
+            enroll(gallery, tpl([1, 0], "y", "y_1"))
+        assert len(gallery.enrolled) == 1
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 24 - 1), st.integers(0, 2 ** 24 - 1),
@@ -137,21 +169,34 @@ class TestGeneratePopulation:
 class TestPairScores:
     def test_matches_similarity_exactly(self):
         pop = generate_population(5, 3, 512, 0.2, seed=17)
-        scored = pair_scores(pop)
-        assert len(scored) == 15 * 14 // 2
-        for a, b, s in scored:
-            assert s == similarity(a, b)
+        i, j, scores = pair_scores(pop)
+        assert scores.size == 15 * 14 // 2
+        for a, b, s in zip(i, j, scores):
+            assert s == similarity(pop[a], pop[b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_populations)
+    def test_differential_against_similarity(self, population):
+        # lengths that are not multiples of 8 leave padding bits in the
+        # packed codes; they must never count as agreements
+        pop = noisy_copies(*population)
+        i, j, scores = pair_scores(pop)
+        pairs = list(combinations(range(len(pop)), 2))
+        assert list(zip(i.tolist(), j.tolist())) == pairs
+        assert scores.tolist() == [similarity(pop[a], pop[b])
+                                   for a, b in pairs]
 
     def test_pair_order(self):
         pop = generate_population(2, 2, 32, 0.1, seed=2)
-        ids = [(a.template_id, b.template_id)
-               for a, b, _ in pair_scores(pop)]
+        i, j, _ = pair_scores(pop)
+        ids = [(pop[a].template_id, pop[b].template_id)
+               for a, b in zip(i, j)]
         assert ids[0] == ("id0000_s000", "id0000_s001")
         assert ids[-1] == ("id0001_s000", "id0001_s001")
 
     def test_degenerate_inputs(self):
-        assert pair_scores([]) == []
-        assert pair_scores([tpl([1, 0])]) == []
+        for templates in ([], [tpl([1, 0])]):
+            assert [col.size for col in pair_scores(templates)] == [0, 0, 0]
 
 
 class TestPartition:
@@ -170,11 +215,16 @@ class TestPartition:
 
     def test_counts_are_a_partition(self):
         pop = generate_population(6, 3, 256, 0.18, seed=3)
-        scores = [s for _, _, s in pair_scores(pop)]
+        _, _, scores = pair_scores(pop)
         report = partition(scores, BANDS)
         assert report.eicp_count + report.uicp_count == report.icp_count
         assert report.genuine_count + report.imposter_count == \
             report.eicp_count
+
+    def test_scores_outside_the_unit_interval_rejected(self):
+        for bad in (-0.01, 1.01, float("nan")):
+            with pytest.raises(ValueError, match="score must be in"):
+                partition([0.5, bad], BANDS)
 
 
 class TestEnroll:
@@ -206,6 +256,19 @@ class TestEnroll:
         assert len(gallery.enrolled) == 3
         assert gallery.identities() == {"alice", "bob"}
         assert gallery.bit_length() == 1000
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_populations)
+    def test_gate_matches_scalar_reference(self, population):
+        *enrolled, candidate = noisy_copies(*population)
+        gallery = Gallery(bands=BANDS, enrolled=list(enrolled))
+        expected = tuple(
+            t.template_id for t in enrolled
+            if classify(similarity(candidate, t), BANDS) == MODAL_O)
+        result = enroll(gallery, candidate)
+        assert result.conflicting_ids == expected
+        assert result.accepted == (not expected)
+        assert len(gallery.enrolled) == len(enrolled) + result.accepted
 
 
 class TestVerify:
@@ -268,6 +331,8 @@ class TestConsistencyCheck:
         assert report.crisp_zero_count == 54
         assert report.undecidable_pairs == ()
         assert report.recognition_errors == 0
+        empty = consistency_check(Gallery(bands=BANDS))
+        assert empty.passed and empty.pair_count == 0
 
     def test_planted_uncertain_pair_fails(self, base_bits):
         gallery = Gallery(bands=BANDS)
@@ -276,6 +341,26 @@ class TestConsistencyCheck:
         report = consistency_check(gallery)
         assert not report.passed
         assert report.undecidable_pairs == (("alice_1", "bob_1", 0.7),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_populations)
+    def test_matches_scalar_reference(self, population):
+        gallery = Gallery(bands=BANDS, enrolled=noisy_copies(*population))
+        undecidable, crisp = [], []
+        for a, b in combinations(gallery.enrolled, 2):
+            s = similarity(a, b)
+            value = defuzzify(classify(s, BANDS))
+            if value is None:
+                undecidable.append((a.template_id, b.template_id, s))
+            else:
+                crisp.append((value, int(a.identity == b.identity)))
+        report = consistency_check(gallery)
+        assert report.passed == (not undecidable)
+        assert report.pair_count == len(undecidable) + len(crisp)
+        assert report.undecidable_pairs == tuple(undecidable)
+        assert report.crisp_one_count == sum(v for v, _ in crisp)
+        assert report.crisp_zero_count == sum(1 - v for v, _ in crisp)
+        assert report.recognition_errors == sum(v != t for v, t in crisp)
 
     def test_recognition_error_does_not_fail_the_check(self, base_bits):
         # two labels share a code: crisp 1 against distinct identities
@@ -304,6 +389,15 @@ class TestPersistence:
     def test_hex_payload_too_short(self):
         with pytest.raises(ValueError):
             bits_from_hex("ff", 16)
+
+    def test_hex_payload_too_long(self):
+        # only the last byte may carry padding; extra zero bytes are refused
+        for payload in ("60f500", "60f50000"):
+            with pytest.raises(ValueError):
+                bits_from_hex(payload, 16)
+        with pytest.raises(ValueError):
+            bits_from_hex("60f0", 4)
+        assert bits_from_hex("60f0", 12).size == 12
 
     def test_gallery_round_trip(self, tmp_path, base_bits):
         gallery = Gallery(bands=BANDS)
@@ -361,4 +455,15 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"templates": []}))
         with pytest.raises(ValueError):
+            load_gallery(path)
+
+    def test_duplicate_template_id_rejected(self, tmp_path):
+        gallery = Gallery(bands=BANDS, enrolled=[
+            tpl([1, 0, 1, 1], "alice", "a_1"),
+            tpl([0, 1, 1, 0], "bob", "b_1"),
+            tpl([0, 0, 1, 0], "bob", "a_1"),
+        ])
+        path = tmp_path / "gallery.json"
+        save_gallery(gallery, path)
+        with pytest.raises(ValueError, match="duplicate template_id 'a_1'"):
             load_gallery(path)
