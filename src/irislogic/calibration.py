@@ -25,6 +25,10 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -265,41 +269,119 @@ def comfort_report(curves: RateCurves, bands: ScoreBands) -> ComfortReport:
 # file formats
 
 
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open a text file that replaces path once the with-block succeeds.
+
+    The text goes to a temporary file in path's directory, which os.replace
+    moves over path when the with-block finishes. If the block raises, the
+    temporary file is removed and path keeps its old bytes. A new file gets
+    the permission bits open(path, "w") would give it; an existing file
+    keeps its own. A symbolic link is followed, as open would, so the link
+    stays and its target is replaced. A path that is not a regular file (a
+    device such as /dev/null, a FIFO, /dev/stdout) is written in place, as
+    open would: there is nothing to replace atomically, and replacing it
+    would turn a device into a plain file.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        with open(fd, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def read_scores_csv(path) -> LabeledScores:
-    """Load a labeled-scores CSV with header pair_id,label,score."""
+    """Load a labeled-scores CSV.
+
+    The header names pair_id, label and score in any order, beside any other
+    columns; fields may use CSV quoting and blank lines are skipped. Each
+    label must be genuine or imposter.
+    """
     genuine: list[float] = []
     imposter: list[float] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"pair_id", "label", "score"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header pair_id,label,score")
-        for row in reader:
-            label = row["label"]
-            if label == GENUINE_LABEL:
-                genuine.append(float(row["score"]))
-            elif label == IMPOSTER_LABEL:
-                imposter.append(float(row["score"]))
-            else:
-                raise ValueError(
-                    f"{path}: pair {row['pair_id']!r} has unknown label "
-                    f"{label!r}")
+        reader = csv.reader(fh)
+        columns = {name: k for k, name in enumerate(next(reader, []))}
+        try:
+            pick = operator.itemgetter(
+                *(columns[name] for name in ("pair_id", "label", "score")))
+        except KeyError:
+            raise ValueError(
+                f"{path}: expected header pair_id,label,score") from None
+        try:
+            for pair_id, label, score in map(pick, filter(None, reader)):
+                if label == GENUINE_LABEL:
+                    genuine.append(float(score))
+                elif label == IMPOSTER_LABEL:
+                    imposter.append(float(score))
+                else:
+                    raise ValueError(
+                        f"{path}: pair {pair_id!r} has unknown label "
+                        f"{label!r}")
+        except IndexError:
+            raise ValueError(f"{path}: line {reader.line_num} has fewer "
+                             f"fields than the header") from None
     return LabeledScores(genuine=np.asarray(genuine),
                          imposter=np.asarray(imposter))
 
 
-def write_scores_csv(path, rows) -> None:
-    """Write (pair_id, label, score) rows with the standard header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pair_id", "label", "score"])
-        for pair_id, label, score in rows:
-            writer.writerow([pair_id, label, repr(float(score))])
+_BLOCK_ROWS = 1 << 16
+_NEEDS_QUOTING = frozenset(',"\r\n')
+
+
+def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
+    """Write labeled pairs as pair_id,label,score rows under that header.
+
+    Row k is pair template_ids[i[k]]:template_ids[j[k]], labeled genuine
+    where genuine[k] is true and imposter elsewhere, with score
+    repr(float(scores[k])) (a negative zero is written as 0.0). Rows are
+    formatted in blocks of _BLOCK_ROWS, so no full-length Python list is
+    built. A template id that CSV would have to quote (one holding a comma,
+    a double quote, CR or LF) raises ValueError before anything is written.
+    """
+    ids = list(template_ids)
+    for t in ids:
+        if not _NEEDS_QUOTING.isdisjoint(t):
+            raise ValueError(f"template id {t!r} would need CSV quoting")
+    columns = (np.asarray(i), np.asarray(j), np.asarray(genuine, dtype=bool),
+               np.asarray(scores, dtype=float))
+    if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+        raise ValueError("pair columns must be 1-d and of equal length")
+    labels = (f",{IMPOSTER_LABEL},", f",{GENUINE_LABEL},")
+    reprs: dict[float, str] = {}
+    with atomic_write(path, newline="") as fh:
+        fh.write("pair_id,label,score\n")
+        for start in range(0, columns[0].size, _BLOCK_ROWS):
+            a, b, g, s = (c[start:start + _BLOCK_ROWS] for c in columns)
+            # + 0.0 turns -0.0 into 0.0, which the repr memo cannot tell apart
+            s = (s + 0.0).tolist()
+            for x in set(s).difference(reprs):
+                reprs[x] = repr(x)
+            fh.write("".join([
+                f"{ids[p]}:{ids[q]}{labels[y]}{reprs[x]}\n"
+                for p, q, y, x in zip(a.tolist(), b.tolist(), g.tolist(), s)]))
 
 
 def write_curves_csv(curves: RateCurves, path) -> None:
     """Write per-threshold rates as t,far,frr,pofa,pofr."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "far", "frr", "pofa", "pofr"])
         for i in range(curves.grid.size):
@@ -326,7 +408,7 @@ def bands_to_json(bands: ScoreBands) -> str:
 
 
 def write_bands_json(bands: ScoreBands, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(bands_to_json(bands))
 
 

@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import calibration, enrollment, octal_algebra
 from .calibration import UnachievableTargetError
 from .decision_engine import Claim, Polarity, decide
@@ -36,7 +38,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
+        with calibration.atomic_write(out_path) as fh:
             fh.write(text)
 
 
@@ -91,13 +93,11 @@ def cmd_simulate(args) -> int:
     templates = enrollment.generate_population(
         args.identities, args.samples_per, args.bits, args.flip, args.seed)
     i, j, scores = enrollment.pair_scores(templates)
-    rows = ((f"{templates[a].template_id}:{templates[b].template_id}",
-             calibration.GENUINE_LABEL
-             if templates[a].identity == templates[b].identity
-             else calibration.IMPOSTER_LABEL,
-             s)
-            for a, b, s in zip(i.tolist(), j.tolist(), scores.tolist()))
-    calibration.write_scores_csv(args.out, rows)
+    _, identity = np.unique([t.identity for t in templates],
+                            return_inverse=True)
+    calibration.write_scores_csv(
+        args.out, [t.template_id for t in templates], i, j,
+        identity[i] == identity[j], scores)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import _bands_doc, _bands_from_doc
+from .calibration import _bands_doc, _bands_from_doc, atomic_write
 from .decision_engine import (
     CODE_D,
     CODE_I,
@@ -299,7 +299,7 @@ def save_gallery(gallery: Gallery, path) -> None:
             for t in gallery.enrolled
         ],
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

@@ -1,18 +1,24 @@
 """Rate curves, pessimistic envelopes, band derivation, comfort, file formats."""
 
+import csv
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irislogic import calibration
 from irislogic.calibration import (
     GENUINE_LABEL,
     IMPOSTER_LABEL,
     LabeledScores,
     RateCurves,
     UnachievableTargetError,
+    atomic_write,
     bands_to_json,
     binomial_upper_bound,
     comfort_report,
@@ -345,16 +351,90 @@ class TestComfortReport:
             comfort_report(curves, ScoreBands(n=0.333, p=0.62))
 
 
+def dictreader_scores(path):
+    """Reference reader on csv.DictReader, the reader the format began with.
+
+    A row too short to hold pair_id, label and score is a ValueError here,
+    where DictReader alone would fill the gap with None.
+    """
+    genuine, imposter = [], []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"pair_id", "label", "score"} \
+                <= set(reader.fieldnames):
+            raise ValueError("bad header")
+        for row in reader:
+            if None in (row["pair_id"], row["label"], row["score"]):
+                raise ValueError("short row")
+            if row["label"] == GENUINE_LABEL:
+                genuine.append(float(row["score"]))
+            elif row["label"] == IMPOSTER_LABEL:
+                imposter.append(float(row["score"]))
+            else:
+                raise ValueError(f"pair {row['pair_id']!r} has unknown label")
+    return make_samples(genuine, imposter)
+
+
+def read_outcome(reader, path):
+    try:
+        samples = reader(path)
+    except ValueError:
+        return "ValueError"
+    return samples.genuine.tolist(), samples.imposter.tolist()
+
+
+SCORE_FILES = {
+    "quoted ids with commas": 'pair_id,label,score\n"a,1:b",genuine,0.5\n'
+                              '"x:y,2",imposter,0.25\n"p""q:r",imposter,0\n',
+    "crlf": "pair_id,label,score\r\na:b,genuine,0.5\r\n"
+            "a:c,imposter,0.125\r\n",
+    "blank lines": "pair_id,label,score\n\na:b,genuine,0.5\n\n\n"
+                   "a:c,imposter,0.1\n\n",
+    "reordered and extra columns": "score,extra,label,pair_id\n"
+                                   "0.5,x,genuine,a:b\n0.25,,imposter,a:c\n",
+    "repeated column, last wins": "pair_id,score,label,score\n"
+                                  "a:b,0.1,genuine,0.9\na:c,0.9,imposter,0.2\n",
+    "quoted fields, newline in id": '"pair_id","label","score"\n'
+                                    '"a\nb:c","genuine","0.75"\n'
+                                    'a:c,imposter,0.3\n',
+    "row longer than header": "pair_id,label,score\na:b,genuine,0.5,extra\n"
+                              "a:c,imposter,0.2\n",
+    "short row": "pair_id,label,score\na:b,genuine,0.5\na:c,imposter\n",
+    "short row, label missing": "score,pair_id,label\n0.5,a:b,genuine\n"
+                                "0.2,a:c\n",
+    "unknown label": "pair_id,label,score\na:b,genuine,0.5\na:c,match,0.2\n",
+    "missing column": "pair_id,label\na:b,genuine\n",
+    "blank first line": "\npair_id,label,score\na:b,genuine,0.5\n",
+    "empty file": "",
+}
+
+
 class TestFileFormats:
     def test_scores_csv_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
-        rows = [("a:b", GENUINE_LABEL, 0.875),
-                ("a:c", IMPOSTER_LABEL, 0.3212890625),
-                ("b:c", IMPOSTER_LABEL, 0.1)]
-        write_scores_csv(path, rows)
+        write_scores_csv(path, ["a", "b", "c"], np.array([0, 0, 1]),
+                         np.array([1, 2, 2]), np.array([True, False, False]),
+                         np.array([0.875, 0.3212890625, 0.1]))
+        assert path.read_text() == ("pair_id,label,score\n"
+                                    "a:b,genuine,0.875\n"
+                                    "a:c,imposter,0.3212890625\n"
+                                    "b:c,imposter,0.1\n")
         samples = read_scores_csv(path)
         assert samples.genuine.tolist() == [0.875]
         assert sorted(samples.imposter.tolist()) == [0.1, 0.3212890625]
+
+    def test_scores_written_as_repr_across_blocks(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(calibration, "_BLOCK_ROWS", 2)
+        path = tmp_path / "scores.csv"
+        scores = [1 / 3, -0.0, 0.0, 1 / 3, 0.1 + 0.2]
+        write_scores_csv(path, list("abcdef"), np.arange(5),
+                         np.arange(1, 6), np.zeros(5, dtype=bool),
+                         np.array(scores))
+        written = [line.rsplit(",", 1)[1]
+                   for line in path.read_text().splitlines()[1:]]
+        assert written == ["0.3333333333333333", "0.0", "0.0",
+                           "0.3333333333333333", "0.30000000000000004"]
 
     def test_scores_csv_header_and_label_errors(self, tmp_path):
         bad_header = tmp_path / "h.csv"
@@ -363,8 +443,44 @@ class TestFileFormats:
             read_scores_csv(bad_header)
         bad_label = tmp_path / "l.csv"
         bad_label.write_text("pair_id,label,score\nx,match,0.5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pair 'x' has unknown label"):
             read_scores_csv(bad_label)
+        short = tmp_path / "s.csv"
+        short.write_text("pair_id,label,score\nx,genuine,0.5\ny,imposter\n")
+        with pytest.raises(ValueError, match="line 3 has fewer fields"):
+            read_scores_csv(short)
+
+    @pytest.mark.parametrize("name", sorted(SCORE_FILES))
+    def test_reader_matches_dictreader(self, tmp_path, name):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(SCORE_FILES[name].encode())
+        assert read_outcome(read_scores_csv, path) == \
+            read_outcome(dictreader_scores, path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+               st.text(alphabet='ab:,"\r\n ', min_size=1, max_size=6),
+               st.sampled_from([GENUINE_LABEL, IMPOSTER_LABEL]),
+               st.floats(0.0, 1.0)), min_size=2, max_size=30),
+           order=st.permutations(["pair_id", "label", "score", "note"]),
+           terminator=st.sampled_from(["\n", "\r\n"]),
+           blanks=st.sets(st.integers(0, 30), max_size=4))
+    def test_reader_matches_dictreader_on_csv_writer_output(
+            self, tmp_path_factory, rows, order, terminator, blanks):
+        lines = []
+        for k, (pair_id, label, score) in enumerate(rows):
+            if k in blanks:
+                lines.append([])
+            fields = {"pair_id": pair_id, "label": label,
+                      "score": repr(score), "note": "n,o"}
+            lines.append([fields[c] for c in order])
+        path = tmp_path_factory.mktemp("rows") / "scores.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=terminator)
+            writer.writerow(order)
+            writer.writerows(lines)
+        assert read_outcome(read_scores_csv, path) == \
+            read_outcome(dictreader_scores, path)
 
     def test_curves_csv_layout(self, tmp_path):
         path = tmp_path / "curves.csv"
@@ -392,3 +508,101 @@ class TestFileFormats:
         path.write_text('{"n": "0.3"}\n')
         with pytest.raises(ValueError):
             read_bands_json(path)
+
+
+class TestAtomicWrites:
+    """A failed write leaves the old file and no temporary file behind."""
+
+    OLD = b"old bytes\n"
+
+    def old_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(self.OLD)
+        return path
+
+    def assert_untouched(self, path):
+        assert path.read_bytes() == self.OLD
+        assert os.listdir(path.parent) == [path.name]
+
+    def test_failure_inside_the_block(self, tmp_path):
+        path = self.old_file(tmp_path, "out.txt")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("disk full")
+        self.assert_untouched(path)
+
+    def test_scores_writer_failing_mid_write(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(calibration, "_BLOCK_ROWS", 1)
+        path = self.old_file(tmp_path, "scores.csv")
+        # the second block indexes past the ids, after the first was written
+        with pytest.raises(IndexError):
+            write_scores_csv(path, ["a", "b"], np.array([0, 0]),
+                             np.array([1, 5]), np.array([True, False]),
+                             np.array([0.5, 0.25]))
+        self.assert_untouched(path)
+
+    def test_curves_writer_failing_mid_write(self, tmp_path):
+        curves = empirical_curves(SMALL, grid_step=0.01)
+        broken = RateCurves(grid=curves.grid, far=curves.far[:50],
+                            frr=curves.frr, pofa=curves.pofa,
+                            pofr=curves.pofr)
+        path = self.old_file(tmp_path, "curves.csv")
+        with pytest.raises(IndexError):
+            write_curves_csv(broken, path)
+        self.assert_untouched(path)
+
+    @pytest.mark.parametrize("bad_id", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_scores_writer_refuses_ids_that_need_quoting(self, tmp_path,
+                                                         bad_id):
+        path = self.old_file(tmp_path, "scores.csv")
+        with pytest.raises(ValueError, match="would need CSV quoting"):
+            write_scores_csv(path, ["ok", bad_id], np.array([0]),
+                             np.array([1]), np.array([False]),
+                             np.array([0.5]))
+        self.assert_untouched(path)
+
+    def test_scores_writer_refuses_unequal_columns(self, tmp_path):
+        path = self.old_file(tmp_path, "scores.csv")
+        with pytest.raises(ValueError, match="equal length"):
+            write_scores_csv(path, ["a", "b"], np.array([0]), np.array([1]),
+                             np.array([False]), np.array([0.5, 0.25]))
+        self.assert_untouched(path)
+
+    def test_symlink_target_is_replaced(self, tmp_path):
+        target = self.old_file(tmp_path, "target.json")
+        link = tmp_path / "link.json"
+        link.symlink_to(target.name)
+        write_bands_json(ScoreBands(n=0.4, p=0.6), link)
+        assert link.is_symlink()
+        assert read_bands_json(target) == ScoreBands(n=0.4, p=0.6)
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "bands.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            write_bands_json(ScoreBands(n=0.4, p=0.6), fifo)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [bands_to_json(ScoreBands(n=0.4, p=0.6)).encode()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["bands.fifo"]
+
+    def test_permission_bits(self, tmp_path):
+        reference = tmp_path / "reference.json"
+        with open(reference, "w"):
+            pass
+        created = tmp_path / "bands.json"
+        write_bands_json(ScoreBands(n=0.4, p=0.6), created)
+        assert os.stat(created).st_mode == os.stat(reference).st_mode
+        os.chmod(created, 0o640)
+        write_bands_json(ScoreBands(n=0.3, p=0.6), created)
+        assert os.stat(created).st_mode & 0o777 == 0o640
+        assert read_bands_json(created) == ScoreBands(n=0.3, p=0.6)

@@ -1,10 +1,16 @@
 """End-to-end command-line checks: outputs, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import irislogic
 from irislogic.cli import main
 from irislogic.enrollment import bits_to_hex
 
@@ -101,6 +107,52 @@ class TestSimulateCommand:
         assert run(argv + [str(second)])[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("bits, sha256", [
+        ("1024", "9f025fe2a6c5b9085d771eaa46d50f6d"
+                 "c924d9b986a81e87c43ce919afdefb01"),
+        # 301 bits: scores like 0.7541528239202658, the longest reprs
+        ("301", "0d44a5fee529061d1d707482873ac775"
+                "b2c59b901f9dde555e5d0756b62cae83"),
+    ])
+    def test_golden_bytes(self, run, tmp_path, bits, sha256):
+        path = tmp_path / "s.csv"
+        code, _, _ = run(["simulate", "--identities", "20", "--samples-per",
+                          "5", "--bits", bits, "--seed", "3", "--out",
+                          str(path)])
+        assert code == 0
+        data = path.read_bytes()
+        assert data.count(b"\n") == 4951      # header + C(100, 2) pairs
+        assert hashlib.sha256(data).hexdigest() == sha256
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # 499,500 rows; a writer holding every row as a Python object
+        # peaks well above the bound
+        argv = ["simulate", "--identities", "250", "--samples-per", "4",
+                "--bits", "64", "--out", str(tmp_path / "s.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
+    def test_out_to_a_pipe(self, run, tmp_path):
+        # --out /dev/stdout names a pipe here; it is written in place
+        argv = ["simulate", "--identities", "3", "--samples-per", "2",
+                "--bits", "64", "--seed", "4", "--out"]
+        path = tmp_path / "s.csv"
+        assert run(argv + [str(path)])[0] == 0
+        src = os.path.dirname(os.path.dirname(irislogic.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from irislogic.cli import run; run()",
+             *argv, "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == path.read_bytes()
+
     def test_bad_flip_rejected(self, run, tmp_path):
         code, _, err = run(["simulate", "--identities", "2",
                             "--samples-per", "2", "--flip", "0.7",
@@ -160,6 +212,16 @@ class TestCalibrateCommand:
                             "--out", str(tmp_path / "b.json")])
         assert code == 2
         assert err.startswith("error=invalid_input")
+
+    def test_short_row_is_a_usage_error(self, run, tmp_path):
+        short = tmp_path / "short.csv"
+        short.write_text("pair_id,label,score\na:b,genuine,0.9\na:c,imposter\n")
+        code, _, err = run(["calibrate", "--scores", str(short), "--target",
+                            "1e-4", "--out", str(tmp_path / "b.json")])
+        assert code == 2
+        assert err.startswith("error=invalid_input")
+        assert "line 3 has fewer fields than the header" in err
+        assert not (tmp_path / "b.json").exists()
 
 
 class TestDecideCommand:

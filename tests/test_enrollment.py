@@ -1,6 +1,7 @@
 """Templates, similarity, population synthesis, gated enrollment, audits."""
 
 import json
+import os
 from itertools import combinations
 
 import numpy as np
@@ -450,6 +451,19 @@ class TestPersistence:
   ]
 }
 """
+
+    def test_failed_save_keeps_the_old_gallery(self, tmp_path, base_bits):
+        gallery = Gallery(bands=BANDS)
+        enroll(gallery, tpl(base_bits, "alice", "alice_1"))
+        path = tmp_path / "gallery.json"
+        save_gallery(gallery, path)
+        old = path.read_bytes()
+        # an identity JSON cannot encode fails the write part-way
+        gallery.enrolled.append(flipped(base_bits, 0, 500, object(), "bob_1"))
+        with pytest.raises(TypeError):
+            save_gallery(gallery, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["gallery.json"]
 
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
