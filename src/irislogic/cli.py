@@ -123,8 +123,13 @@ def cmd_enroll(args) -> int:
         gallery = enrollment.Gallery(bands=bands)
     else:
         raise ValueError("creating a new gallery requires --bands")
+    if args.bit_length is not None and args.bit_length < 1:
+        raise ValueError("--bit-length must be at least 1")
     payload = bytes.fromhex(args.bits_hex)
-    bit_length = gallery.bit_length() or len(payload) * 8
+    bit_length = gallery.bit_length() or args.bit_length or len(payload) * 8
+    if args.bit_length not in (None, bit_length):
+        raise ValueError(f"--bit-length {args.bit_length} differs from the "
+                         f"gallery's bit length {bit_length}")
     candidate = enrollment.Template(
         bits=enrollment.bits_from_hex(args.bits_hex, bit_length),
         identity=args.identity, template_id=args.template_id)
@@ -201,6 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enr.add_argument("--identity", required=True)
     p_enr.add_argument("--template-id", required=True)
     p_enr.add_argument("--bits-hex", required=True)
+    p_enr.add_argument("--bit-length", type=int, default=None,
+                       help="bit length of a new gallery (default: 8 x the "
+                            "payload bytes)")
     p_enr.set_defaults(func=cmd_enroll)
 
     p_cur = sub.add_parser("curves", help="export rate curves for plotting")

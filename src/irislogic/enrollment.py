@@ -34,19 +34,29 @@ from .octal_algebra import MODAL_D, MODAL_I, MODAL_O, Octal, sum_
 
 @dataclass(frozen=True, eq=False)
 class Template:
-    """One enrolled or candidate binary code."""
+    """One enrolled or candidate binary code.
+
+    bits is the template's own read-only copy of the code. packed holds the
+    same bits as np.packbits bytes, zero-padded to whole uint64 words, the
+    form the XOR/popcount scoring reads.
+    """
 
     bits: np.ndarray
     identity: str
     template_id: str
+    packed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bits, dtype=np.uint8)
+        arr = np.array(self.bits, dtype=np.uint8)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("bits must be a non-empty 1-d array")
-        if not ((arr == 0) | (arr == 1)).all():
+        if arr.max() > 1:
             raise ValueError("bits must contain only 0 and 1")
+        arr.setflags(write=False)
+        packed = np.zeros(-(-arr.size // 64) * 8, dtype=np.uint8)
+        packed[:-(-arr.size // 8)] = np.packbits(arr)
         object.__setattr__(self, "bits", arr)
+        object.__setattr__(self, "packed", packed.view(np.uint64))
 
 
 def similarity(a: Template, b: Template) -> float:
@@ -78,21 +88,23 @@ def generate_population(identities: int, samples_per_identity: int,
         master = rng.integers(0, 2, size=bit_length, dtype=np.uint8)
         for j in range(samples_per_identity):
             flips = rng.random(bit_length) < flip_probability
-            bits = np.where(flips, 1 - master, master).astype(np.uint8)
-            out.append(Template(bits=bits, identity=f"id{i:04d}",
+            out.append(Template(bits=master ^ flips, identity=f"id{i:04d}",
                                 template_id=f"id{i:04d}_s{j:03d}"))
     return out
 
 
 def _agreement_rows(templates: list[Template]):
     """Per k, exact agreement counts of template k against every later one:
-    XOR and popcount on bits packed once; zero padding bits never differ."""
+    XOR and popcount on the templates' packed words; zero padding bits never
+    differ."""
     for t in templates[1:]:
         if t.bits.size != templates[0].bits.size:
             raise ValueError(f"bit lengths differ: "
                              f"{templates[0].bits.size} vs {t.bits.size}")
-    bits = np.array([t.bits for t in templates], dtype=np.uint8)
-    packed = np.packbits(bits, axis=-1)
+    if not templates:
+        return
+    packed = np.concatenate([t.packed for t in templates]).reshape(
+        len(templates), -1)
     for k, t in enumerate(templates):
         yield t.bits.size - np.bitwise_count(
             packed[k + 1:] ^ packed[k]).sum(axis=1)
@@ -107,8 +119,15 @@ def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
     i, j = np.triu_indices(len(templates), 1)
     if len(templates) < 2:
         return i, j, np.empty(0)
-    agreements = np.concatenate(list(_agreement_rows(templates)))
-    return i, j, agreements / templates[0].bits.size
+    # one preallocated column, not a list of rows to concatenate, which
+    # would double the peak; counts below 2**53 are exact in float64
+    scores = np.empty(i.size)
+    end = 0
+    for row in _agreement_rows(templates):
+        scores[end:end + row.size] = row
+        end += row.size
+    scores /= templates[0].bits.size
+    return i, j, scores
 
 
 @dataclass(frozen=True)
@@ -205,30 +224,36 @@ class VerifyResult:
 def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     """Score the probe against the whole gallery and adjudicate the claim.
 
-    The claim is decided on the best score among the claimed identity's
-    templates. Raises when the claimed identity is not enrolled.
+    The gallery is scored in one packed XOR/popcount row, with one decide()
+    per distinct score, so targets with equal scores share one record. The
+    claim is decided on the best score among the claimed identity's
+    templates, scored again by similarity(); a disagreement with the row is
+    a RuntimeError. Raises ValueError when the claimed identity is not
+    enrolled.
     """
-    claimed = [t for t in gallery.enrolled
+    enrolled = gallery.enrolled
+    claimed = [k for k, t in enumerate(enrolled)
                if t.identity == claim.claimed_identity]
     if not claimed:
         raise ValueError(
             f"identity {claim.claimed_identity!r} is not enrolled")
-    records: list[tuple[str, DecisionRecord]] = []
-    conflicts: list[str] = []
-    best = None
-    for t in gallery.enrolled:
-        s = similarity(probe, t)
-        rec = decide(claim, s, gallery.bands)
-        records.append((t.template_id, rec))
-        if rec.modal == MODAL_O:
-            conflicts.append(t.template_id)
-        if t.identity == claim.claimed_identity and (best is None or s > best):
-            best = s
-    claim_record = decide(claim, best, gallery.bands)
+    scores = next(_agreement_rows([probe, *enrolled])) / probe.bits.size
+    claimed_scores = [similarity(probe, enrolled[k]) for k in claimed]
+    if claimed_scores != scores[claimed].tolist():
+        raise RuntimeError("packed scores disagree with similarity() on the "
+                           "claimed identity's templates")
+    distinct, inverse = np.unique(scores, return_inverse=True)
+    decided = [decide(claim, s, gallery.bands) for s in distinct.tolist()]
+    codes = classify_many(scores, gallery.bands)
+    conflicts = tuple(enrolled[k].template_id
+                      for k in np.flatnonzero(codes == CODE_O))
+    claim_record = decide(claim, max(claimed_scores), gallery.bands)
     overall = Response.REPEAT if conflicts else claim_record.response
-    return VerifyResult(overall=overall, claim_record=claim_record,
-                        target_records=tuple(records),
-                        conflicting_ids=tuple(conflicts))
+    return VerifyResult(
+        overall=overall, claim_record=claim_record,
+        target_records=tuple(zip([t.template_id for t in enrolled],
+                                 map(decided.__getitem__, inverse.tolist()))),
+        conflicting_ids=conflicts)
 
 
 @dataclass(frozen=True)
@@ -309,6 +334,11 @@ def load_gallery(path) -> Gallery:
     try:
         bands = _bands_from_doc(doc["bands"])
         bit_length = doc["bit_length"]
+        if not (type(bit_length) is int and bit_length > 0
+                or bit_length is None and not doc["templates"]):
+            raise ValueError(f"{path}: not a gallery document (bit_length "
+                             f"{json.dumps(bit_length)} is not a positive "
+                             f"integer)")
         templates = [
             Template(bits=bits_from_hex(entry["bits"], bit_length),
                      identity=entry["identity"],

@@ -69,3 +69,29 @@ DECISION_MATRIX = {
     ("negative", "O"): "repeat",
     ("negative", "D"): "accepted",
 }
+
+
+# gallery file of two 12-bit templates under bands n=0.6, p=0.75,
+# target_rate=1e-06, as save_gallery writes it
+GALLERY_12_BITS = """\
+{
+  "bands": {
+    "n": "0.6",
+    "p": "0.75",
+    "target_rate": "1e-06"
+  },
+  "bit_length": 12,
+  "templates": [
+    {
+      "bits": "b2d0",
+      "identity": "alice",
+      "template_id": "alice_1"
+    },
+    {
+      "bits": "69e0",
+      "identity": "bob",
+      "template_id": "bob_1"
+    }
+  ]
+}
+"""

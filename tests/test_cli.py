@@ -14,7 +14,13 @@ import irislogic
 from irislogic.cli import main
 from irislogic.enrollment import bits_to_hex
 
-from table_data import CHAINS, ENTROPY_PRODUCT, ENTROPY_SUM, PRODUCT
+from table_data import (
+    CHAINS,
+    ENTROPY_PRODUCT,
+    ENTROPY_SUM,
+    GALLERY_12_BITS,
+    PRODUCT,
+)
 
 
 @pytest.fixture
@@ -360,6 +366,45 @@ class TestEnrollCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error=invalid_input")
+        assert gallery.read_bytes() == before
+
+    @pytest.mark.parametrize("second_flag", [[], ["--bit-length", "12"]])
+    def test_bit_length_starts_a_gallery(self, run, tmp_path, bands_json,
+                                         second_flag):
+        gallery = tmp_path / "gallery.json"
+        for identity, payload, flag in (
+                ("alice", "b2d0", ["--bit-length", "12"]),
+                ("bob", "69e0", second_flag)):
+            code, out, _ = run(["enroll", "--gallery", str(gallery),
+                                "--bands", str(bands_json), "--identity",
+                                identity, "--template-id", f"{identity}_1",
+                                "--bits-hex", payload] + flag)
+            assert code == 0
+        assert out == "enrolled=bob_1 gallery_size=2\n"
+        assert gallery.read_text() == GALLERY_12_BITS
+
+    def test_bit_length_must_match_the_gallery(self, run, tmp_path,
+                                               bands_json):
+        gallery = tmp_path / "gallery.json"
+        for length in ("0", "-4"):
+            code, out, err = run(["enroll", "--gallery", str(gallery),
+                                  "--bands", str(bands_json), "--identity",
+                                  "alice", "--template-id", "alice_1",
+                                  "--bits-hex", "b2d0", "--bit-length",
+                                  length])
+            assert (code, out) == (2, "")
+            assert err.startswith("error=invalid_input")
+            assert not gallery.exists()
+        run(["enroll", "--gallery", str(gallery), "--bands", str(bands_json),
+             "--identity", "alice", "--template-id", "alice_1",
+             "--bits-hex", "b2d0", "--bit-length", "12"])
+        before = gallery.read_bytes()
+        code, out, err = run(["enroll", "--gallery", str(gallery),
+                              "--identity", "bob", "--template-id", "bob_1",
+                              "--bits-hex", "69e0", "--bit-length", "16"])
+        assert (code, out) == (2, "")
+        assert err == ("error=invalid_input detail=--bit-length 16 differs "
+                       "from the gallery's bit length 12\n")
         assert gallery.read_bytes() == before
 
     def test_new_gallery_requires_bands(self, run, tmp_path, base_bits):

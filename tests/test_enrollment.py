@@ -9,17 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irislogic import enrollment
 from irislogic.decision_engine import (
     Claim,
     Polarity,
     Response,
     ScoreBands,
     classify,
+    decide,
     defuzzify,
 )
 from irislogic.enrollment import (
     Gallery,
     Template,
+    VerifyResult,
     bits_from_hex,
     bits_to_hex,
     consistency_check,
@@ -33,6 +36,8 @@ from irislogic.enrollment import (
     verify,
 )
 from irislogic.octal_algebra import MODAL_O
+
+from table_data import GALLERY_12_BITS
 
 BANDS = ScoreBands(n=0.6, p=0.75, target_rate=1e-6)
 
@@ -65,6 +70,30 @@ random_populations = st.tuples(st.integers(1, 300), st.integers(1, 8),
                                st.integers(0, 2 ** 32 - 1))
 
 
+def scalar_verify(gallery, probe, claim):
+    """Reference verify: similarity() and decide() once per target."""
+    claimed = [t for t in gallery.enrolled
+               if t.identity == claim.claimed_identity]
+    if not claimed:
+        raise ValueError(
+            f"identity {claim.claimed_identity!r} is not enrolled")
+    records, conflicts = [], []
+    best = None
+    for t in gallery.enrolled:
+        s = similarity(probe, t)
+        rec = decide(claim, s, gallery.bands)
+        records.append((t.template_id, rec))
+        if rec.modal == MODAL_O:
+            conflicts.append(t.template_id)
+        if t.identity == claim.claimed_identity and (best is None or s > best):
+            best = s
+    claim_record = decide(claim, best, gallery.bands)
+    overall = Response.REPEAT if conflicts else claim_record.response
+    return VerifyResult(overall=overall, claim_record=claim_record,
+                        target_records=tuple(records),
+                        conflicting_ids=tuple(conflicts))
+
+
 @pytest.fixture
 def base_bits():
     return np.random.default_rng(99).integers(0, 2, 1000, dtype=np.uint8)
@@ -76,6 +105,8 @@ class TestTemplate:
             tpl([])
         with pytest.raises(ValueError):
             tpl([0, 1, 2])
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            Template(bits=[0, 2], identity="x", template_id="x_1")
         with pytest.raises(ValueError):
             Template(bits=np.zeros((2, 2), dtype=np.uint8),
                      identity="x", template_id="x_1")
@@ -83,6 +114,29 @@ class TestTemplate:
     def test_bits_coerced_to_uint8(self):
         t = tpl([0, 1, 1, 0])
         assert t.bits.dtype == np.uint8
+
+    def test_bits_are_a_read_only_copy(self):
+        caller = np.array([1, 0, 1, 1], dtype=np.uint8)
+        t = tpl(caller)
+        with pytest.raises(ValueError):
+            t.bits[0] = 0
+        caller[0] = 0
+        assert caller.flags.writeable
+        assert t.bits.tolist() == [1, 0, 1, 1]
+        assert np.unpackbits(t.packed.view(np.uint8))[:4].tolist() == \
+            [1, 0, 1, 1]
+
+    @pytest.mark.parametrize("bit_length", [1, 7, 8, 63, 64, 65, 300])
+    def test_packed_words(self, bit_length):
+        bits = np.random.default_rng(bit_length).integers(
+            0, 2, bit_length, dtype=np.uint8)
+        bits[-1] = 1
+        t = tpl(bits)
+        assert t.packed.dtype == np.uint64
+        assert t.packed.size == -(-bit_length // 64)
+        unpacked = np.unpackbits(t.packed.view(np.uint8))
+        assert np.array_equal(unpacked[:bit_length], bits)
+        assert not unpacked[bit_length:].any()
 
 
 class TestSimilarity:
@@ -107,6 +161,8 @@ class TestSimilarity:
         with pytest.raises(ValueError, match="bit lengths differ: 2 vs 3"):
             enroll(gallery, tpl([1, 0], "y", "y_1"))
         assert len(gallery.enrolled) == 1
+        with pytest.raises(ValueError, match="bit lengths differ: 2 vs 3"):
+            verify(gallery, tpl([1, 0]), Claim(Polarity.POSITIVE, "x"))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 24 - 1), st.integers(0, 2 ** 24 - 1),
@@ -318,6 +374,72 @@ class TestVerify:
             verify(gallery, tpl(base_bits, "eve", "probe"),
                    Claim(Polarity.POSITIVE, "eve"))
 
+    def test_equal_scores_share_one_record(self, base_bits):
+        g = Gallery(bands=BANDS, enrolled=[
+            tpl(base_bits, "alice", "alice_1"),
+            tpl(base_bits, "alice", "alice_2"),
+            flipped(base_bits, 0, 500, "bob", "bob_1")])
+        result = verify(g, tpl(base_bits, "alice", "probe"),
+                        Claim(Polarity.POSITIVE, "alice"))
+        (_, first), (_, second), _ = result.target_records
+        assert first is second
+        assert first.score == result.claim_record.score == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_populations.map(lambda p: (p[0], p[1] + 1, p[2])),
+           st.sampled_from(Polarity), st.integers(0, 7))
+    def test_differential_against_scalar_loop(self, population, polarity,
+                                              pick):
+        # bit lengths 1-300 leave padding bits in the last packed word
+        *enrolled, probe = noisy_copies(*population)
+        gallery = Gallery(bands=BANDS, enrolled=enrolled)
+        claim = Claim(polarity, enrolled[pick % len(enrolled)].identity)
+        assert verify(gallery, probe, claim) == \
+            scalar_verify(gallery, probe, claim)
+
+    def test_packed_row_checked_against_similarity(self, gallery, base_bits,
+                                                   monkeypatch):
+        honest = enrollment.similarity
+        monkeypatch.setattr(enrollment, "similarity",
+                            lambda a, b: min(1.0, honest(a, b) + 0.03))
+        probe = flipped(base_bits, 100, 180, "alice", "probe")
+        with pytest.raises(RuntimeError, match="disagree"):
+            verify(gallery, probe, Claim(Polarity.POSITIVE, "alice"))
+
+    @pytest.mark.parametrize("probe_index, polarity, claimed, expected", [
+        # positive genuine: id0000's held-out sample
+        (3, Polarity.POSITIVE, "id0000", (
+            "accepted",
+            "claim=positive identity=id0000 score=0.7308970099667774 "
+            "modal=I response=accepted output_octal=1 meaning=PA'&NR'",
+            "IIDDDDDDDDDDDDDDDDDD", ())),
+        # negative genuine: one target lands in the uncertainty band
+        (7, Polarity.NEGATIVE, "id0001", (
+            "repeat",
+            "claim=negative identity=id0001 score=0.7807308970099668 "
+            "modal=I response=rejected output_octal=1 meaning=PA'&NR'",
+            "DDIOIDDDDDDDDDDDDDDD", ("id0001_s001",))),
+        # imposter: id0002's held-out sample claims id0005
+        (11, Polarity.POSITIVE, "id0005", (
+            "rejected",
+            "claim=positive identity=id0005 score=0.5282392026578073 "
+            "modal=D response=rejected output_octal=2 meaning=PR'&NA'",
+            "DDDDDIDDDDDDDDDDDDDD", ())),
+    ])
+    def test_golden_requests(self, probe_index, polarity, claimed, expected):
+        population = generate_population(12, 4, 301, 0.15, seed=5)
+        gallery = Gallery(bands=ScoreBands(n=0.55, p=0.72,
+                                           target_rate=1e-6))
+        for i in range(12):
+            for j in range(3):
+                enroll(gallery, population[4 * i + j])
+        assert len(gallery.enrolled) == 20
+        result = verify(gallery, population[probe_index],
+                        Claim(polarity, claimed))
+        assert (result.overall.value, result.claim_record.to_record(),
+                "".join(str(rec.modal) for _, rec in result.target_records),
+                result.conflicting_ids) == expected
+
 
 class TestConsistencyCheck:
     def test_clean_gallery_passes(self):
@@ -429,28 +551,7 @@ class TestPersistence:
         ])
         path = tmp_path / "gallery.json"
         save_gallery(gallery, path)
-        assert path.read_text() == """\
-{
-  "bands": {
-    "n": "0.6",
-    "p": "0.75",
-    "target_rate": "1e-06"
-  },
-  "bit_length": 12,
-  "templates": [
-    {
-      "bits": "b2d0",
-      "identity": "alice",
-      "template_id": "alice_1"
-    },
-    {
-      "bits": "69e0",
-      "identity": "bob",
-      "template_id": "bob_1"
-    }
-  ]
-}
-"""
+        assert path.read_text() == GALLERY_12_BITS
 
     def test_failed_save_keeps_the_old_gallery(self, tmp_path, base_bits):
         gallery = Gallery(bands=BANDS)
@@ -470,6 +571,28 @@ class TestPersistence:
         path.write_text(json.dumps({"templates": []}))
         with pytest.raises(ValueError):
             load_gallery(path)
+
+    @pytest.mark.parametrize("bit_length, payload", [
+        (None, "b2d0"), (12.0, "b2d0"), (True, "80"), (0, ""), (-8, "b2"),
+        ("12", "b2d0")])
+    def test_bit_length_must_be_a_positive_int(self, tmp_path, bit_length,
+                                               payload):
+        path = tmp_path / "gallery.json"
+        path.write_text(json.dumps({
+            "bands": {"n": "0.6", "p": "0.75", "target_rate": "1e-06"},
+            "bit_length": bit_length,
+            "templates": [{"bits": payload, "identity": "alice",
+                           "template_id": "alice_1"}]}))
+        with pytest.raises(ValueError, match=r"gallery\.json: not a gallery "
+                                             r"document \(bit_length "):
+            load_gallery(path)
+
+    def test_empty_gallery_has_no_bit_length(self, tmp_path):
+        path = tmp_path / "gallery.json"
+        save_gallery(Gallery(bands=BANDS), path)
+        assert json.loads(path.read_text())["bit_length"] is None
+        loaded = load_gallery(path)
+        assert loaded.enrolled == [] and loaded.bit_length() is None
 
     def test_duplicate_template_id_rejected(self, tmp_path):
         gallery = Gallery(bands=BANDS, enrolled=[
