@@ -11,7 +11,6 @@ from .calibration import (
     empirical_curves,
 )
 from .decision_engine import (
-    DEFAULT_BANDS,
     UNDECIDABLE,
     Claim,
     DecisionRecord,
@@ -52,13 +51,12 @@ from .octal_algebra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitTriple", "Claim", "ComfortReport", "CubeVector", "DEFAULT_BANDS",
-    "DecisionRecord", "Gallery", "IntervalSet", "LabeledScores",
-    "ModalString", "Octal", "Polarity", "RateCurves", "Response",
-    "ScoreBands", "Template", "UNDECIDABLE", "UnachievableTargetError",
-    "classify", "comfort_report", "consistency_check", "decide", "defuzzify",
-    "derive_bands", "empirical_curves", "enroll", "entropy",
-    "generate_population", "leq", "maximal_chains", "neg", "output_encoding",
-    "partition", "product", "psi", "similarity", "subalgebra_closure",
-    "sum_", "verify",
+    "BitTriple", "Claim", "ComfortReport", "CubeVector", "DecisionRecord",
+    "Gallery", "IntervalSet", "LabeledScores", "ModalString", "Octal",
+    "Polarity", "RateCurves", "Response", "ScoreBands", "Template",
+    "UNDECIDABLE", "UnachievableTargetError", "classify", "comfort_report",
+    "consistency_check", "decide", "defuzzify", "derive_bands",
+    "empirical_curves", "enroll", "entropy", "generate_population", "leq",
+    "maximal_chains", "neg", "output_encoding", "partition", "product", "psi",
+    "similarity", "subalgebra_closure", "sum_", "verify",
 ]

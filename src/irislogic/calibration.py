@@ -380,16 +380,13 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
 
 
 def write_curves_csv(curves: RateCurves, path) -> None:
-    """Write per-threshold rates as t,far,frr,pofa,pofr."""
+    """Write per-threshold rates as t,far,frr,pofa,pofr float reprs."""
+    t, far, frr, pofa, pofr = (c.tolist() for c in (
+        curves.grid, curves.far, curves.frr, curves.pofa, curves.pofr))
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "far", "frr", "pofa", "pofr"])
-        for i in range(curves.grid.size):
-            writer.writerow([repr(float(curves.grid[i])),
-                             repr(float(curves.far[i])),
-                             repr(float(curves.frr[i])),
-                             repr(float(curves.pofa[i])),
-                             repr(float(curves.pofr[i]))])
+        fh.write("t,far,frr,pofa,pofr\n")
+        fh.write("".join([f"{t[k]!r},{far[k]!r},{frr[k]!r},{pofa[k]!r},"
+                          f"{pofr[k]!r}\n" for k in range(len(t))]))
 
 
 def _bands_doc(bands: ScoreBands) -> dict[str, str]:

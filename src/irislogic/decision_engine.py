@@ -70,10 +70,6 @@ class ScoreBands:
                              f"{self.target_rate!r}")
 
 
-#: published reference operating point for iris codes
-DEFAULT_BANDS = ScoreBands(n=0.3725, p=0.55, target_rate=1e-10)
-
-
 @dataclass(frozen=True)
 class Claim:
     polarity: Polarity

@@ -47,11 +47,14 @@ class Template:
     packed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.bits, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(self.bits)
+        if raw.ndim != 1 or raw.size == 0:
             raise ValueError("bits must be a non-empty 1-d array")
-        if arr.max() > 1:
+        # a cast from other dtypes would wrap 256 to 0 and cut 0.9 to 0
+        if not (raw.dtype in (np.uint8, np.bool_) and raw.max() <= 1
+                or ((raw == 0) | (raw == 1)).all()):
             raise ValueError("bits must contain only 0 and 1")
+        arr = raw.astype(np.uint8)
         arr.setflags(write=False)
         packed = np.zeros(-(-arr.size // 64) * 8, dtype=np.uint8)
         packed[:-(-arr.size // 8)] = np.packbits(arr)
@@ -313,8 +316,18 @@ def bits_from_hex(hex_string: str, bit_length: int) -> np.ndarray:
     return bits[:bit_length].copy()
 
 
+def _refuse_duplicate_ids(templates: list[Template], path) -> None:
+    seen: set[str] = set()
+    for tid in (t.template_id for t in templates):
+        if tid in seen:
+            raise ValueError(f"{path}: duplicate template_id {tid!r}")
+        seen.add(tid)
+
+
 def save_gallery(gallery: Gallery, path) -> None:
-    """Write the gallery as a stable JSON document."""
+    """Write the gallery as a stable JSON document; a template_id held
+    twice, which load_gallery would refuse, is a ValueError up front."""
+    _refuse_duplicate_ids(gallery.enrolled, path)
     doc = {
         "bands": _bands_doc(gallery.bands),
         "bit_length": gallery.bit_length(),
@@ -347,10 +360,5 @@ def load_gallery(path) -> Gallery:
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a gallery document ({exc})") from None
-    seen: set[str] = set()
-    for t in templates:
-        if t.template_id in seen:
-            raise ValueError(
-                f"{path}: duplicate template_id {t.template_id!r}")
-        seen.add(t.template_id)
+    _refuse_duplicate_ids(templates, path)
     return Gallery(bands=bands, enrolled=templates)

@@ -1,6 +1,7 @@
 """Rate curves, pessimistic envelopes, band derivation, comfort, file formats."""
 
 import csv
+import io
 import math
 import os
 import stat
@@ -32,7 +33,12 @@ from irislogic.calibration import (
     write_curves_csv,
     write_scores_csv,
 )
-from irislogic.decision_engine import ScoreBands
+from irislogic.decision_engine import (
+    CODE_D,
+    CODE_I,
+    ScoreBands,
+    classify_many,
+)
 from irislogic.enrollment import generate_population, pair_scores
 
 
@@ -308,6 +314,25 @@ class TestDeriveBands:
         assert curves.far_at(bands.p) == 0.0
         assert curves.frr_at(bands.n) == 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_derived_bands_misclassify_at_most_a_target_share(self, seed):
+        # bands are only ever derived from data: whatever thresholds
+        # derive_bands hands out must do what their target rate says on
+        # the pairs they were derived from
+        templates = generate_population(80, 4, 1024, 0.15, seed=seed)
+        i, j, scores = pair_scores(templates)
+        identity = np.array([t.identity for t in templates])
+        genuine = identity[i] == identity[j]
+        curves = empirical_curves(make_samples(scores[genuine],
+                                               scores[~genuine]))
+        for target in (1e-2, 1e-3):
+            bands = derive_bands(curves, target)
+            codes = classify_many(scores, bands)
+            assert np.count_nonzero(codes[~genuine] == CODE_I) <= \
+                target * np.count_nonzero(~genuine)
+            assert np.count_nonzero(codes[genuine] == CODE_D) <= \
+                target * np.count_nonzero(genuine)
+
 
 class TestComfortReport:
     def test_reference_operating_point_rates(self):
@@ -484,11 +509,21 @@ class TestFileFormats:
 
     def test_curves_csv_layout(self, tmp_path):
         path = tmp_path / "curves.csv"
-        write_curves_csv(empirical_curves(SMALL, grid_step=0.01), path)
+        curves = empirical_curves(SMALL, grid_step=0.01)
+        write_curves_csv(curves, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,far,frr,pofa,pofr"
         assert len(lines) == 102
         assert lines[1].startswith("0.0,1.0,0.0,")
+        # byte for byte what csv.writer makes of the float reprs
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["t", "far", "frr", "pofa", "pofr"])
+        for k in range(curves.grid.size):
+            writer.writerow([repr(float(c[k])) for c in (
+                curves.grid, curves.far, curves.frr, curves.pofa,
+                curves.pofr)])
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_bands_json_round_trip(self, tmp_path):
         path = tmp_path / "bands.json"

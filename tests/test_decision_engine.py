@@ -9,7 +9,6 @@ from irislogic.decision_engine import (
     CODE_D,
     CODE_I,
     CODE_O,
-    DEFAULT_BANDS,
     UNDECIDABLE,
     Claim,
     Polarity,
@@ -41,12 +40,6 @@ from table_data import DECISION_MATRIX, OUTPUT_ROWS, PSI
 BANDS = ScoreBands(n=0.3725, p=0.55)
 
 scores = st.floats(min_value=0.0, max_value=1.0)
-
-
-def test_default_bands():
-    assert DEFAULT_BANDS.n == 0.3725
-    assert DEFAULT_BANDS.p == 0.55
-    assert DEFAULT_BANDS.target_rate == 1e-10
 
 
 def test_bands_validation():

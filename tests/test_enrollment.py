@@ -110,6 +110,14 @@ class TestTemplate:
         with pytest.raises(ValueError):
             Template(bits=np.zeros((2, 2), dtype=np.uint8),
                      identity="x", template_id="x_1")
+        # values a uint8 cast would wrap or truncate into 0 or 1
+        for bad in (np.array([256, 0]), np.array([-1, 0]), [0.9, 1],
+                    [1, 0, 1.5], [np.nan, 1]):
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                Template(bits=bad, identity="x", template_id="x_1")
+        for ok in ([True, False], np.array([True, False]), [1.0, 0.0]):
+            t = Template(bits=ok, identity="x", template_id="x_1")
+            assert t.bits.dtype == np.uint8 and t.bits.tolist() == [1, 0]
 
     def test_bits_coerced_to_uint8(self):
         t = tpl([0, 1, 1, 0])
@@ -595,12 +603,24 @@ class TestPersistence:
         assert loaded.enrolled == [] and loaded.bit_length() is None
 
     def test_duplicate_template_id_rejected(self, tmp_path):
+        path = tmp_path / "gallery.json"
+        path.write_text(json.dumps({
+            "bands": {"n": "0.6", "p": "0.75", "target_rate": "1e-06"},
+            "bit_length": 4,
+            "templates": [
+                {"bits": "b0", "identity": "alice", "template_id": "a_1"},
+                {"bits": "60", "identity": "bob", "template_id": "b_1"},
+                {"bits": "20", "identity": "bob", "template_id": "a_1"}]}))
+        with pytest.raises(ValueError, match="duplicate template_id 'a_1'"):
+            load_gallery(path)
+        # the writer refuses the same gallery before it opens the file
+        old = path.read_bytes()
         gallery = Gallery(bands=BANDS, enrolled=[
             tpl([1, 0, 1, 1], "alice", "a_1"),
             tpl([0, 1, 1, 0], "bob", "b_1"),
             tpl([0, 0, 1, 0], "bob", "a_1"),
         ])
-        path = tmp_path / "gallery.json"
-        save_gallery(gallery, path)
         with pytest.raises(ValueError, match="duplicate template_id 'a_1'"):
-            load_gallery(path)
+            save_gallery(gallery, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["gallery.json"]
