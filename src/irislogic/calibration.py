@@ -32,7 +32,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from .decision_engine import ScoreBands
 
@@ -101,8 +101,9 @@ def binomial_upper_bound(successes, trials: int, confidence: float = 0.95):
     """One-sided upper confidence bound for a binomial proportion.
 
     For k observed events in n trials, the smallest rate q such that seeing
-    at most k events has probability <= 1 - confidence under q. Vectorized
-    over k; k = n maps to 1.0.
+    at most k events has probability <= 1 - confidence under q: the
+    Clopper-Pearson limit, the `confidence` quantile of Beta(k + 1, n - k).
+    Vectorized over k; k = n, where that Beta is undefined, maps to 1.0.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -111,9 +112,8 @@ def binomial_upper_bound(successes, trials: int, confidence: float = 0.95):
     k = np.asarray(successes, dtype=float)
     if ((k < 0) | (k > trials)).any():
         raise ValueError("event counts must lie in [0, trials]")
-    with np.errstate(invalid="ignore"):
-        bound = stats.beta.ppf(confidence, k + 1.0, trials - k)
-    return np.where(k >= trials, 1.0, bound)
+    return np.where(k >= trials, 1.0,
+                    betaincinv(k + 1.0, trials - k, confidence))
 
 
 def fit_log_tail(grid, rates, trials: int) -> tuple[float, float] | None:
@@ -270,7 +270,7 @@ def comfort_report(curves: RateCurves, bands: ScoreBands) -> ComfortReport:
 
 
 @contextmanager
-def atomic_write(path, newline=None):
+def atomic_write(path):
     """Open a text file that replaces path once the with-block succeeds.
 
     The text goes to a temporary file in path's directory, which os.replace
@@ -281,14 +281,14 @@ def atomic_write(path, newline=None):
     stays and its target is replaced. A path that is not a regular file (a
     device such as /dev/null, a FIFO, /dev/stdout) is written in place, as
     open would: there is nothing to replace atomically, and replacing it
-    would turn a device into a plain file.
+    would turn a device into a plain file. Newlines are not translated.
     """
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", newline="") as fh:
             yield fh
         return
     path = os.path.realpath(path)
@@ -298,7 +298,7 @@ def atomic_write(path, newline=None):
     try:
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
-        with open(fd, "w", newline=newline) as fh:
+        with open(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -366,7 +366,7 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
         raise ValueError("pair columns must be 1-d and of equal length")
     labels = (f",{IMPOSTER_LABEL},", f",{GENUINE_LABEL},")
     reprs: dict[float, str] = {}
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("pair_id,label,score\n")
         for start in range(0, columns[0].size, _BLOCK_ROWS):
             a, b, g, s = (c[start:start + _BLOCK_ROWS] for c in columns)
@@ -383,10 +383,26 @@ def write_curves_csv(curves: RateCurves, path) -> None:
     """Write per-threshold rates as t,far,frr,pofa,pofr float reprs."""
     t, far, frr, pofa, pofr = (c.tolist() for c in (
         curves.grid, curves.far, curves.frr, curves.pofa, curves.pofr))
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("t,far,frr,pofa,pofr\n")
         fh.write("".join([f"{t[k]!r},{far[k]!r},{frr[k]!r},{pofa[k]!r},"
                           f"{pofr[k]!r}\n" for k in range(len(t))]))
+
+
+def _json_text(doc) -> str:
+    """The JSON layout bands and gallery files share, byte-stable."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@contextmanager
+def _document(path, kind: str):
+    """The JSON at path; a KeyError or TypeError in the block is ValueError."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        yield doc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a {kind} document ({exc})") from None
 
 
 def _bands_doc(bands: ScoreBands) -> dict[str, str]:
@@ -401,7 +417,7 @@ def _bands_from_doc(doc) -> ScoreBands:
 
 def bands_to_json(bands: ScoreBands) -> str:
     """Bands as JSON with decimal strings, byte-stable across runs."""
-    return json.dumps(_bands_doc(bands), indent=2, sort_keys=True) + "\n"
+    return _json_text(_bands_doc(bands))
 
 
 def write_bands_json(bands: ScoreBands, path) -> None:
@@ -410,9 +426,5 @@ def write_bands_json(bands: ScoreBands, path) -> None:
 
 
 def read_bands_json(path) -> ScoreBands:
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
+    with _document(path, "bands") as doc:
         return _bands_from_doc(doc)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a bands document ({exc})") from None

@@ -58,7 +58,7 @@ class ScoreBands:
 
     n: float
     p: float
-    target_rate: float = 1e-10
+    target_rate: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.n < self.p <= 1.0:

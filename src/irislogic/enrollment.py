@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import _bands_doc, _bands_from_doc, atomic_write
+from .calibration import (_bands_doc, _bands_from_doc, _document,
+                          _json_text, atomic_write)
 from .decision_engine import (
     CODE_D,
     CODE_I,
@@ -197,8 +198,11 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
     """One-to-all gate: the candidate joins only if no comparison is O.
 
     On rejection the gallery is untouched and the undecidable targets are
-    listed. The first template always enrolls.
+    listed. The first template always enrolls. A candidate whose template_id
+    is already enrolled is a ValueError, raised before any scoring.
     """
+    if candidate.template_id in [t.template_id for t in gallery.enrolled]:
+        raise ValueError(f"duplicate template_id {candidate.template_id!r}")
     agreements = next(_agreement_rows([candidate, *gallery.enrolled]))
     codes = classify_many(agreements / candidate.bits.size, gallery.bands)
     conflicts = tuple(gallery.enrolled[k].template_id
@@ -338,13 +342,11 @@ def save_gallery(gallery: Gallery, path) -> None:
         ],
     }
     with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(doc))
 
 
 def load_gallery(path) -> Gallery:
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
+    with _document(path, "gallery") as doc:
         bands = _bands_from_doc(doc["bands"])
         bit_length = doc["bit_length"]
         if not (type(bit_length) is int and bit_length > 0
@@ -358,7 +360,5 @@ def load_gallery(path) -> Gallery:
                      template_id=entry["template_id"])
             for entry in doc["templates"]
         ]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a gallery document ({exc})") from None
     _refuse_duplicate_ids(templates, path)
     return Gallery(bands=bands, enrolled=templates)

@@ -146,7 +146,7 @@ def test_criterion_05_atomic_code_arithmetic():
 
 def test_criterion_06_decision_matrix_and_output_rows():
     with criterion(6, "claim decision matrix and all 8 output rows"):
-        bands = ScoreBands(n=0.3725, p=0.55)
+        bands = ScoreBands(n=0.3725, p=0.55, target_rate=1e-6)
         rep_score = {"I": 0.9, "O": 0.45, "D": 0.1}
         for (polarity, modal), response in DECISION_MATRIX.items():
             record = decide(Claim(Polarity(polarity), "X"),
@@ -170,7 +170,8 @@ def test_criterion_07_discomfort_arithmetic():
         frr[220] = 2.7e-4       # t = 0.55
         curves = RateCurves(grid=grid, far=far, frr=frr,
                             pofa=np.zeros(401), pofr=np.zeros(401))
-        report = comfort_report(curves, ScoreBands(n=0.3725, p=0.55))
+        report = comfort_report(curves, ScoreBands(n=0.3725, p=0.55,
+                                                   target_rate=1e-6))
         assert report.genuine_discomfort == pytest.approx(2.7e-4,
                                                           abs=1e-12)
         assert report.imposter_discomfort == pytest.approx(1.42e-4,

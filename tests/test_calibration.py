@@ -146,6 +146,23 @@ class TestBinomialUpperBound:
         assert (bounds[:-1] > ks[:-1] / 100).all()
         assert bounds[-1] == 1.0
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+    def test_bitwise_equal_to_scipy_stats(self, confidence):
+        # scipy.stats is the oracle here and nowhere else: the package calls
+        # the special function behind beta.ppf directly
+        from scipy import stats
+        rng = np.random.default_rng(2024)
+        cases = [(np.arange(n + 1), n)
+                 for n in (1, 2, 3, 10, 150, 1_000, 12_000)]
+        cases += [(rng.integers(0, n + 1, 2_000), n)
+                  for n in (497_500, 1_995_000)]
+        for k, n in cases:
+            with np.errstate(invalid="ignore"):
+                expected = np.where(
+                    k >= n, 1.0, stats.beta.ppf(confidence, k + 1, n - k))
+            assert np.array_equal(binomial_upper_bound(k, n, confidence),
+                                  expected), n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             binomial_upper_bound(0, 0)
@@ -345,7 +362,8 @@ class TestComfortReport:
         frr[220] = 2.7e-4                   # t = 0.55
         curves = RateCurves(grid=grid, far=far, frr=frr,
                             pofa=np.zeros(401), pofr=np.zeros(401))
-        report = comfort_report(curves, ScoreBands(n=0.3725, p=0.55))
+        report = comfort_report(curves, ScoreBands(n=0.3725, p=0.55,
+                                                   target_rate=1e-6))
         assert report.genuine_discomfort == pytest.approx(2.7e-4, abs=1e-12)
         assert report.imposter_discomfort == pytest.approx(1.42e-4,
                                                            abs=1e-12)
@@ -359,7 +377,7 @@ class TestComfortReport:
         imposter = np.round(np.clip(rng.normal(0.35, 0.1, 800), 0, 1), 3)
         samples = make_samples(genuine, imposter)
         curves = empirical_curves(samples, grid_step=0.01)
-        bands = ScoreBands(n=0.4, p=0.62)
+        bands = ScoreBands(n=0.4, p=0.62, target_rate=1e-6)
         report = comfort_report(curves, bands)
         assert report.genuine_discomfort == np.mean(genuine < bands.p)
         assert report.imposter_discomfort == np.mean(imposter >= bands.n)
@@ -373,7 +391,8 @@ class TestComfortReport:
     def test_off_grid_bands_rejected(self):
         curves = empirical_curves(SMALL, grid_step=0.01)
         with pytest.raises(ValueError):
-            comfort_report(curves, ScoreBands(n=0.333, p=0.62))
+            comfort_report(curves, ScoreBands(n=0.333, p=0.62,
+                                              target_rate=1e-6))
 
 
 def dictreader_scores(path):
@@ -534,7 +553,7 @@ class TestFileFormats:
         assert '"n": "0.5788"' in path.read_text()
 
     def test_bands_json_stable_bytes(self):
-        bands = ScoreBands(n=0.3725, p=0.55)
+        bands = ScoreBands(n=0.3725, p=0.55, target_rate=1e-6)
         assert bands_to_json(bands) == bands_to_json(bands)
         assert bands_to_json(bands).endswith("\n")
 
@@ -549,6 +568,7 @@ class TestAtomicWrites:
     """A failed write leaves the old file and no temporary file behind."""
 
     OLD = b"old bytes\n"
+    BANDS = ScoreBands(n=0.4, p=0.6, target_rate=1e-6)
 
     def old_file(self, tmp_path, name):
         path = tmp_path / name
@@ -609,9 +629,9 @@ class TestAtomicWrites:
         target = self.old_file(tmp_path, "target.json")
         link = tmp_path / "link.json"
         link.symlink_to(target.name)
-        write_bands_json(ScoreBands(n=0.4, p=0.6), link)
+        write_bands_json(self.BANDS, link)
         assert link.is_symlink()
-        assert read_bands_json(target) == ScoreBands(n=0.4, p=0.6)
+        assert read_bands_json(target) == self.BANDS
         assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
     def test_fifo_is_written_in_place(self, tmp_path):
@@ -622,11 +642,11 @@ class TestAtomicWrites:
             target=lambda: received.append(fifo.read_bytes()), daemon=True)
         reader.start()
         try:
-            write_bands_json(ScoreBands(n=0.4, p=0.6), fifo)
+            write_bands_json(self.BANDS, fifo)
         finally:
             reader.join(timeout=10)
         assert not reader.is_alive()
-        assert received == [bands_to_json(ScoreBands(n=0.4, p=0.6)).encode()]
+        assert received == [bands_to_json(self.BANDS).encode()]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["bands.fifo"]
 
@@ -635,9 +655,10 @@ class TestAtomicWrites:
         with open(reference, "w"):
             pass
         created = tmp_path / "bands.json"
-        write_bands_json(ScoreBands(n=0.4, p=0.6), created)
+        write_bands_json(self.BANDS, created)
         assert os.stat(created).st_mode == os.stat(reference).st_mode
         os.chmod(created, 0o640)
-        write_bands_json(ScoreBands(n=0.3, p=0.6), created)
+        other = ScoreBands(n=0.3, p=0.6, target_rate=1e-6)
+        write_bands_json(other, created)
         assert os.stat(created).st_mode & 0o777 == 0o640
-        assert read_bands_json(created) == ScoreBands(n=0.3, p=0.6)
+        assert read_bands_json(created) == other

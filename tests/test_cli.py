@@ -186,6 +186,30 @@ class TestCalibrateCommand:
                                "imposter_discomfort", "total_discomfort",
                                "true_accept_safety", "false_reject_safety"]
 
+    def test_does_not_load_scipy_stats(self, tmp_path):
+        # the bound needs one scipy.special function; scipy.stats would add
+        # hundreds of modules to every process that imports the package
+        script = "\n".join([
+            "import sys",
+            "from irislogic.cli import main",
+            "scores, bands = sys.argv[1:]",
+            "assert main(['simulate', '--identities', '6', '--samples-per',",
+            "             '3', '--bits', '256', '--seed', '4',",
+            "             '--out', scores]) == 0",
+            "assert main(['calibrate', '--scores', scores, '--target',",
+            "             '0.05', '--out', bands]) == 0",
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'",
+        ])
+        src = os.path.dirname(os.path.dirname(irislogic.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "s.csv"),
+             str(tmp_path / "b.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "b.json").exists()
+
     def test_unachievable_target_is_a_failure(self, run, tmp_path):
         overlap = tmp_path / "overlap.csv"
         rows = ["pair_id,label,score"]

@@ -37,24 +37,27 @@ from irislogic.octal_algebra import (
 
 from table_data import DECISION_MATRIX, OUTPUT_ROWS, PSI
 
-BANDS = ScoreBands(n=0.3725, p=0.55)
+BANDS = ScoreBands(n=0.3725, p=0.55, target_rate=1e-6)
 
 scores = st.floats(min_value=0.0, max_value=1.0)
 
 
 def test_bands_validation():
     with pytest.raises(ValueError):
-        ScoreBands(n=0.6, p=0.5)
+        ScoreBands(n=0.6, p=0.5, target_rate=1e-6)
     with pytest.raises(ValueError):
-        ScoreBands(n=0.5, p=0.5)
+        ScoreBands(n=0.5, p=0.5, target_rate=1e-6)
     with pytest.raises(ValueError):
-        ScoreBands(n=-0.1, p=0.5)
+        ScoreBands(n=-0.1, p=0.5, target_rate=1e-6)
     with pytest.raises(ValueError):
-        ScoreBands(n=0.2, p=1.5)
+        ScoreBands(n=0.2, p=1.5, target_rate=1e-6)
     with pytest.raises(ValueError):
         ScoreBands(n=0.2, p=0.8, target_rate=0.0)
     with pytest.raises(ValueError):
         ScoreBands(n=0.2, p=0.8, target_rate=1.0)
+    # no default target: hand-built bands state the rate they stand for
+    with pytest.raises(TypeError):
+        ScoreBands(n=0.2, p=0.8)
 
 
 def test_classify_boundaries_are_closed():

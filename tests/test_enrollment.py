@@ -322,6 +322,16 @@ class TestEnroll:
         assert gallery.identities() == {"alice", "bob"}
         assert gallery.bit_length() == 1000
 
+    def test_duplicate_template_id_rejected(self, base_bits):
+        gallery = Gallery(bands=BANDS)
+        enroll(gallery, tpl(base_bits, "alice", "alice_1"))
+        # 0.9 is a crisp I, so only the id keeps this sample out
+        twin = flipped(base_bits, 0, 100, "alice", "alice_1")
+        with pytest.raises(ValueError,
+                           match="^duplicate template_id 'alice_1'$"):
+            enroll(gallery, twin)
+        assert [t.template_id for t in gallery.enrolled] == ["alice_1"]
+
     @settings(max_examples=60, deadline=None)
     @given(random_populations)
     def test_gate_matches_scalar_reference(self, population):
@@ -593,6 +603,18 @@ class TestPersistence:
                            "template_id": "alice_1"}]}))
         with pytest.raises(ValueError, match=r"gallery\.json: not a gallery "
                                              r"document \(bit_length "):
+            load_gallery(path)
+
+    def test_payload_error_passes_through(self, tmp_path):
+        # only KeyError and TypeError become "not a gallery document"
+        path = tmp_path / "gallery.json"
+        path.write_text(json.dumps({
+            "bands": {"n": "0.6", "p": "0.75", "target_rate": "1e-06"},
+            "bit_length": 12,
+            "templates": [{"bits": "b2", "identity": "alice",
+                           "template_id": "alice_1"}]}))
+        with pytest.raises(ValueError, match="^hex payload does not match "
+                                             "the bit length$"):
             load_gallery(path)
 
     def test_empty_gallery_has_no_bit_length(self, tmp_path):
