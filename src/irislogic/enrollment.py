@@ -39,7 +39,8 @@ class Template:
 
     bits is the template's own read-only copy of the code. packed holds the
     same bits as np.packbits bytes, zero-padded to whole uint64 words, the
-    form the XOR/popcount scoring reads.
+    form the XOR/popcount scoring reads; it is read-only too, because a
+    gallery copies it once into its own matrix.
     """
 
     bits: np.ndarray
@@ -59,6 +60,7 @@ class Template:
         arr.setflags(write=False)
         packed = np.zeros(-(-arr.size // 64) * 8, dtype=np.uint8)
         packed[:-(-arr.size // 8)] = np.packbits(arr)
+        packed.setflags(write=False)
         object.__setattr__(self, "bits", arr)
         object.__setattr__(self, "packed", packed.view(np.uint64))
 
@@ -97,21 +99,17 @@ def generate_population(identities: int, samples_per_identity: int,
     return out
 
 
-def _agreement_rows(templates: list[Template]):
-    """Per k, exact agreement counts of template k against every later one:
-    XOR and popcount on the templates' packed words; zero padding bits never
-    differ."""
-    for t in templates[1:]:
-        if t.bits.size != templates[0].bits.size:
-            raise ValueError(f"bit lengths differ: "
-                             f"{templates[0].bits.size} vs {t.bits.size}")
-    if not templates:
-        return
-    packed = np.concatenate([t.packed for t in templates]).reshape(
-        len(templates), -1)
-    for k, t in enumerate(templates):
-        yield t.bits.size - np.bitwise_count(
-            packed[k + 1:] ^ packed[k]).sum(axis=1)
+def _require_bit_length(bit_length: int, other: int) -> None:
+    if other != bit_length:
+        raise ValueError(f"bit lengths differ: {bit_length} vs {other}")
+
+
+def _agreements(rows: np.ndarray, row: np.ndarray,
+                bit_length: int) -> np.ndarray:
+    """Exact agreement counts of one packed row against each row of a
+    stacked matrix: XOR and popcount on the packed words; zero padding bits
+    never differ."""
+    return bit_length - np.bitwise_count(rows ^ row).sum(axis=1)
 
 
 def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
@@ -123,14 +121,19 @@ def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
     i, j = np.triu_indices(len(templates), 1)
     if len(templates) < 2:
         return i, j, np.empty(0)
+    bit_length = templates[0].bits.size
+    for t in templates:
+        _require_bit_length(bit_length, t.bits.size)
+    packed = np.stack([t.packed for t in templates])
     # one preallocated column, not a list of rows to concatenate, which
     # would double the peak; counts below 2**53 are exact in float64
     scores = np.empty(i.size)
     end = 0
-    for row in _agreement_rows(templates):
+    for k in range(len(templates) - 1):
+        row = _agreements(packed[k + 1:], packed[k], bit_length)
         scores[end:end + row.size] = row
         end += row.size
-    scores /= templates[0].bits.size
+    scores /= bit_length
     return i, j, scores
 
 
@@ -176,16 +179,77 @@ def partition(scores, bands: ScoreBands) -> PartitionReport:
 
 @dataclass
 class Gallery:
-    """Mutable enrolled set plus the bands it was built under."""
+    """Mutable enrolled set plus the bands it was built under.
+
+    The gallery keeps the packed rows of enrolled stacked in one uint64
+    matrix, with the template ids and an integer code per identity beside
+    them, so enroll, verify and consistency_check score against it without
+    stacking the templates again. Before each use the matrix is compared
+    with enrolled: while enrolled only grew, the new rows are appended;
+    after any other edit of enrolled (a pop, an item assignment, a new
+    list) the matrix is rebuilt. A gallery shared between threads needs
+    the caller's own lock, because a call may bring the matrix up to date.
+    """
 
     bands: ScoreBands
     enrolled: list[Template] = field(default_factory=list)
+    # the templates the matrix holds, in order: compared with enrolled by
+    # identity, since Template has eq=False
+    _packed_from: list[Template] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    # capacity-doubling; rows past len(_packed_from) are unused
+    _rows: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), np.uint64),
+        init=False, repr=False, compare=False)
+    _ids: list[str] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _first_index: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _identity_codes: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _codes: np.ndarray = field(
+        default_factory=lambda: np.empty(0, np.intp),
+        init=False, repr=False, compare=False)
 
     def identities(self) -> set[str]:
         return {t.identity for t in self.enrolled}
 
     def bit_length(self) -> int | None:
         return self.enrolled[0].bits.size if self.enrolled else None
+
+    def _sync(self) -> int:
+        """Bring the packed rows up to date with enrolled; return how many
+        there are. A template whose bit length differs from the first one's
+        is a ValueError and stays out of the matrix."""
+        enrolled = self.enrolled
+        n = len(self._packed_from)
+        if enrolled[:n] != self._packed_from:
+            n = 0
+            self._packed_from, self._ids = [], []
+            self._first_index, self._identity_codes = {}, {}
+        m = len(enrolled)
+        if m == n:
+            return m
+        bit_length = enrolled[0].bits.size
+        for t in enrolled[n:]:
+            _require_bit_length(bit_length, t.bits.size)
+        if not n or m > len(self._rows):
+            # a rebuild may change the row width, so it starts afresh
+            capacity = max(m, 2 * n)
+            rows = np.empty((capacity, enrolled[0].packed.size), np.uint64)
+            codes = np.empty(capacity, np.intp)
+            if n:
+                rows[:n], codes[:n] = self._rows[:n], self._codes[:n]
+            self._rows, self._codes = rows, codes
+        for k in range(n, m):
+            t = enrolled[k]
+            self._rows[k] = t.packed
+            self._codes[k] = self._identity_codes.setdefault(
+                t.identity, len(self._identity_codes))
+            self._first_index.setdefault(t.template_id, k)
+            self._ids.append(t.template_id)
+        self._packed_from += enrolled[n:]
+        return m
 
 
 @dataclass(frozen=True)
@@ -201,14 +265,19 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
     listed. The first template always enrolls. A candidate whose template_id
     is already enrolled is a ValueError, raised before any scoring.
     """
-    if candidate.template_id in [t.template_id for t in gallery.enrolled]:
+    n = gallery._sync()
+    if candidate.template_id in gallery._first_index:
         raise ValueError(f"duplicate template_id {candidate.template_id!r}")
-    agreements = next(_agreement_rows([candidate, *gallery.enrolled]))
-    codes = classify_many(agreements / candidate.bits.size, gallery.bands)
-    conflicts = tuple(gallery.enrolled[k].template_id
-                      for k in np.flatnonzero(codes == CODE_O))
-    if conflicts:
-        return EnrollResult(accepted=False, conflicting_ids=conflicts)
+    if n:
+        bit_length = candidate.bits.size
+        _require_bit_length(bit_length, gallery.bit_length())
+        agreements = _agreements(gallery._rows[:n], candidate.packed,
+                                 bit_length)
+        codes = classify_many(agreements / bit_length, gallery.bands)
+        conflicts = tuple(gallery._ids[k]
+                          for k in np.flatnonzero(codes == CODE_O))
+        if conflicts:
+            return EnrollResult(accepted=False, conflicting_ids=conflicts)
     gallery.enrolled.append(candidate)
     return EnrollResult(accepted=True)
 
@@ -238,13 +307,17 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     a RuntimeError. Raises ValueError when the claimed identity is not
     enrolled.
     """
+    n = gallery._sync()
     enrolled = gallery.enrolled
-    claimed = [k for k, t in enumerate(enrolled)
-               if t.identity == claim.claimed_identity]
-    if not claimed:
+    code = gallery._identity_codes.get(claim.claimed_identity, -1)
+    claimed = np.flatnonzero(gallery._codes[:n] == code)
+    if not claimed.size:
         raise ValueError(
             f"identity {claim.claimed_identity!r} is not enrolled")
-    scores = next(_agreement_rows([probe, *enrolled])) / probe.bits.size
+    bit_length = probe.bits.size
+    _require_bit_length(bit_length, gallery.bit_length())
+    scores = _agreements(gallery._rows[:n], probe.packed,
+                         bit_length) / bit_length
     claimed_scores = [similarity(probe, enrolled[k]) for k in claimed]
     if claimed_scores != scores[claimed].tolist():
         raise RuntimeError("packed scores disagree with similarity() on the "
@@ -252,13 +325,13 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     distinct, inverse = np.unique(scores, return_inverse=True)
     decided = [decide(claim, s, gallery.bands) for s in distinct.tolist()]
     codes = classify_many(scores, gallery.bands)
-    conflicts = tuple(enrolled[k].template_id
+    conflicts = tuple(gallery._ids[k]
                       for k in np.flatnonzero(codes == CODE_O))
     claim_record = decide(claim, max(claimed_scores), gallery.bands)
     overall = Response.REPEAT if conflicts else claim_record.response
     return VerifyResult(
         overall=overall, claim_record=claim_record,
-        target_records=tuple(zip([t.template_id for t in enrolled],
+        target_records=tuple(zip(gallery._ids,
                                  map(decided.__getitem__, inverse.tolist()))),
         conflicting_ids=conflicts)
 
@@ -282,15 +355,15 @@ class ConsistencyReport:
 
 def consistency_check(gallery: Gallery) -> ConsistencyReport:
     """Re-classify every enrolled pair from scratch, one row at a time."""
-    enrolled = gallery.enrolled
-    identities = np.array([t.identity for t in enrolled])
+    n = gallery._sync()
+    rows, identities, ids = gallery._rows[:n], gallery._codes[:n], gallery._ids
+    bit_length = gallery.bit_length()
     undecidable: list[tuple[str, str, float]] = []
     ones = zeros = errors = total = 0
-    for k, agreements in enumerate(_agreement_rows(enrolled)):
-        scores = agreements / enrolled[k].bits.size
+    for k in range(n - 1):
+        scores = _agreements(rows[k + 1:], rows[k], bit_length) / bit_length
         codes = classify_many(scores, gallery.bands)
-        undecidable += [(enrolled[k].template_id,
-                         enrolled[k + 1 + m].template_id, float(scores[m]))
+        undecidable += [(ids[k], ids[k + 1 + m], float(scores[m]))
                         for m in np.flatnonzero(codes == CODE_O)]
         wrong = np.where(identities[k + 1:] == identities[k], CODE_D, CODE_I)
         errors += int((codes == wrong).sum())

@@ -128,6 +128,9 @@ class TestTemplate:
         t = tpl(caller)
         with pytest.raises(ValueError):
             t.bits[0] = 0
+        # a gallery copies packed once, so a write would leave it stale
+        with pytest.raises(ValueError):
+            t.packed[0] = 0
         caller[0] = 0
         assert caller.flags.writeable
         assert t.bits.tolist() == [1, 0, 1, 1]
@@ -512,6 +515,109 @@ class TestConsistencyCheck:
         assert report.passed
         assert report.recognition_errors == 1
         assert report.crisp_one_count == 1
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+hand_edits = st.lists(st.tuples(
+    st.sampled_from(["enroll", "append", "pop", "setitem", "clear",
+                     "assign"]),
+    st.integers(0, 2 ** 16), st.booleans()), min_size=1, max_size=20)
+
+
+class TestGalleryMatrix:
+    """The packed matrix a gallery keeps must follow every edit of
+    enrolled, gated or by hand."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 130), st.integers(0, 2 ** 32 - 1), hand_edits)
+    def test_matches_a_fresh_gallery_after_every_edit(self, bit_length,
+                                                      seed, steps):
+        pool = noisy_copies(bit_length, 10, seed)
+        # one template of another bit length, which only a hand edit admits
+        pool.append(tpl(np.ones(bit_length + 1), "id1", "long"))
+        gallery = Gallery(bands=BANDS)
+        for step, (edit, pick, check) in enumerate(steps):
+            enrolled, t = gallery.enrolled, pool[pick % len(pool)]
+            if edit == "enroll":
+                outcome(enroll, gallery, t)
+            elif edit == "append":
+                enrolled.append(t)
+            elif edit == "pop" and enrolled:
+                enrolled.pop(pick % len(enrolled))
+            elif edit == "setitem" and enrolled:
+                enrolled[pick % len(enrolled)] = t
+            elif edit == "clear":
+                enrolled.clear()
+            elif edit == "assign":
+                # a new list: a prefix of the old one plus one template
+                gallery.enrolled = enrolled[:pick % (len(enrolled) + 1)] + [t]
+            if not check and step < len(steps) - 1:
+                continue   # several edits between two uses
+            fresh = Gallery(bands=BANDS, enrolled=list(gallery.enrolled))
+            claim = Claim(Polarity.POSITIVE, f"id{pick % 4}")   # id3: none
+            probe = pool[(pick + 1) % len(pool)]
+            for call, args in ((verify, (probe, claim)),
+                               (consistency_check, ())):
+                assert outcome(call, gallery, *args) == \
+                    outcome(call, fresh, *args)
+            copy = Template(bits=probe.bits, identity=probe.identity,
+                            template_id=f"probe{step}")
+            assert outcome(enroll, gallery, copy) == \
+                outcome(enroll, fresh, copy)
+            assert gallery.enrolled == fresh.enrolled
+
+    def test_template_ids_held_twice_each_keep_a_record(self, base_bits):
+        gallery = Gallery(bands=BANDS, enrolled=[
+            tpl(base_bits, "alice", "alice_1"),
+            flipped(base_bits, 0, 500, "bob", "bob_1"),
+            flipped(base_bits, 0, 100, "alice", "alice_1")])
+        probe = tpl(base_bits, "alice", "probe")
+        result = verify(gallery, probe, Claim(Polarity.POSITIVE, "alice"))
+        assert [tid for tid, _ in result.target_records] == \
+            ["alice_1", "bob_1", "alice_1"]
+        assert result == scalar_verify(gallery, probe,
+                                       Claim(Polarity.POSITIVE, "alice"))
+
+    def test_other_bit_length_fails_until_it_is_removed(self, base_bits):
+        gallery = Gallery(bands=BANDS)
+        assert enroll(gallery, tpl(base_bits, "alice", "alice_1")).accepted
+        gallery.enrolled.append(tpl(base_bits[:999], "bob", "bob_1"))
+        probe = flipped(base_bits, 0, 100, "alice", "alice_2")
+        claim = Claim(Polarity.POSITIVE, "alice")
+        for call, args in ((enroll, (probe,)), (verify, (probe, claim)),
+                           (consistency_check, ())):
+            with pytest.raises(ValueError,
+                               match="^bit lengths differ: 1000 vs 999$"):
+                call(gallery, *args)
+        gallery.enrolled.pop()
+        assert verify(gallery, probe, claim) == \
+            scalar_verify(gallery, probe, claim)
+        assert enroll(gallery, probe).accepted
+        assert consistency_check(gallery).passed
+
+    def test_empty_gallery_has_no_identity(self, base_bits):
+        gallery = Gallery(bands=BANDS)
+        with pytest.raises(ValueError, match="'alice' is not enrolled"):
+            verify(gallery, tpl(base_bits, "alice", "probe"),
+                   Claim(Polarity.POSITIVE, "alice"))
+        assert enroll(gallery, tpl(base_bits, "alice", "alice_1")).accepted
+        gallery.enrolled.clear()
+        with pytest.raises(ValueError, match="'alice' is not enrolled"):
+            verify(gallery, tpl(base_bits, "alice", "probe"),
+                   Claim(Polarity.POSITIVE, "alice"))
+
+    def test_private_state_stays_out_of_repr_and_equality(self, base_bits):
+        a = Gallery(bands=BANDS, enrolled=[tpl(base_bits)])
+        b = Gallery(bands=BANDS, enrolled=list(a.enrolled))
+        consistency_check(a)   # fills a's matrix, not b's
+        assert a == b
+        assert repr(a) == repr(b)
 
 
 class TestPersistence:
