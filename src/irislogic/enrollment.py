@@ -177,79 +177,53 @@ def partition(scores, bands: ScoreBands) -> PartitionReport:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gallery:
-    """Mutable enrolled set plus the bands it was built under.
+    """Enrolled templates plus the bands they were enrolled under.
 
-    The gallery keeps the packed rows of enrolled stacked in one uint64
-    matrix, with the template ids and an integer code per identity beside
-    them, so enroll, verify and consistency_check score against it without
-    stacking the templates again. Before each use the matrix is compared
-    with enrolled: while enrolled only grew, the new rows are appended;
-    after any other edit of enrolled (a pop, an item assignment, a new
-    list) the matrix is rebuilt. A gallery shared between threads needs
-    the caller's own lock, because a call may bring the matrix up to date.
+    enrolled is a tuple. A gallery is built whole by its constructor, which
+    does not gate (load_gallery and hand-built galleries; consistency_check
+    audits them), and grows only through enroll, the gate. The constructor
+    refuses templates of differing bit lengths and a repeated template_id.
+    Beside enrolled the gallery keeps the packed rows stacked in one uint64
+    matrix, an id -> row index and an integer code per identity, so enroll,
+    verify and consistency_check score against it without stacking the
+    templates again. Only enroll writes; verify and consistency_check read.
     """
 
     bands: ScoreBands
-    enrolled: list[Template] = field(default_factory=list)
-    # the templates the matrix holds, in order: compared with enrolled by
-    # identity, since Template has eq=False
-    _packed_from: list[Template] = field(
-        default_factory=list, init=False, repr=False, compare=False)
-    # capacity-doubling; rows past len(_packed_from) are unused
-    _rows: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 0), np.uint64),
-        init=False, repr=False, compare=False)
-    _ids: list[str] = field(
-        default_factory=list, init=False, repr=False, compare=False)
-    _first_index: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _identity_codes: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _codes: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.intp),
-        init=False, repr=False, compare=False)
+    enrolled: tuple[Template, ...] = ()
+    # capacity-doubling; rows past len(enrolled) are unused
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    # insertion order is row order: ids are unique and never removed
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _identity_codes: dict[str, int] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self) -> None:
+        enrolled = tuple(self.enrolled)
+        index: dict[str, int] = {}
+        identity_codes: dict[str, int] = {}
+        for k, t in enumerate(enrolled):
+            _require_bit_length(enrolled[0].bits.size, t.bits.size)
+            if index.setdefault(t.template_id, k) != k:
+                raise ValueError(f"duplicate template_id {t.template_id!r}")
+            identity_codes.setdefault(t.identity, len(identity_codes))
+        rows = (np.stack([t.packed for t in enrolled]) if enrolled
+                else np.empty((0, 0), np.uint64))
+        codes = np.array([identity_codes[t.identity] for t in enrolled],
+                         np.intp)
+        for name, value in (("enrolled", enrolled), ("_rows", rows),
+                            ("_codes", codes), ("_index", index),
+                            ("_identity_codes", identity_codes)):
+            object.__setattr__(self, name, value)
 
     def identities(self) -> set[str]:
         return {t.identity for t in self.enrolled}
 
     def bit_length(self) -> int | None:
         return self.enrolled[0].bits.size if self.enrolled else None
-
-    def _sync(self) -> int:
-        """Bring the packed rows up to date with enrolled; return how many
-        there are. A template whose bit length differs from the first one's
-        is a ValueError and stays out of the matrix."""
-        enrolled = self.enrolled
-        n = len(self._packed_from)
-        if enrolled[:n] != self._packed_from:
-            n = 0
-            self._packed_from, self._ids = [], []
-            self._first_index, self._identity_codes = {}, {}
-        m = len(enrolled)
-        if m == n:
-            return m
-        bit_length = enrolled[0].bits.size
-        for t in enrolled[n:]:
-            _require_bit_length(bit_length, t.bits.size)
-        if not n or m > len(self._rows):
-            # a rebuild may change the row width, so it starts afresh
-            capacity = max(m, 2 * n)
-            rows = np.empty((capacity, enrolled[0].packed.size), np.uint64)
-            codes = np.empty(capacity, np.intp)
-            if n:
-                rows[:n], codes[:n] = self._rows[:n], self._codes[:n]
-            self._rows, self._codes = rows, codes
-        for k in range(n, m):
-            t = enrolled[k]
-            self._rows[k] = t.packed
-            self._codes[k] = self._identity_codes.setdefault(
-                t.identity, len(self._identity_codes))
-            self._first_index.setdefault(t.template_id, k)
-            self._ids.append(t.template_id)
-        self._packed_from += enrolled[n:]
-        return m
 
 
 @dataclass(frozen=True)
@@ -265,8 +239,9 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
     listed. The first template always enrolls. A candidate whose template_id
     is already enrolled is a ValueError, raised before any scoring.
     """
-    n = gallery._sync()
-    if candidate.template_id in gallery._first_index:
+    enrolled = gallery.enrolled
+    n = len(enrolled)
+    if candidate.template_id in gallery._index:
         raise ValueError(f"duplicate template_id {candidate.template_id!r}")
     if n:
         bit_length = candidate.bits.size
@@ -274,11 +249,23 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
         agreements = _agreements(gallery._rows[:n], candidate.packed,
                                  bit_length)
         codes = classify_many(agreements / bit_length, gallery.bands)
-        conflicts = tuple(gallery._ids[k]
+        conflicts = tuple(enrolled[k].template_id
                           for k in np.flatnonzero(codes == CODE_O))
         if conflicts:
             return EnrollResult(accepted=False, conflicting_ids=conflicts)
-    gallery.enrolled.append(candidate)
+    rows, codes = gallery._rows, gallery._codes
+    if n == len(rows):
+        rows = np.empty((2 * n or 1, candidate.packed.size), np.uint64)
+        codes = np.empty(len(rows), np.intp)
+        if n:
+            rows[:n], codes[:n] = gallery._rows, gallery._codes
+    rows[n] = candidate.packed
+    codes[n] = gallery._identity_codes.setdefault(
+        candidate.identity, len(gallery._identity_codes))
+    gallery._index[candidate.template_id] = n
+    for name, value in (("_rows", rows), ("_codes", codes),
+                        ("enrolled", enrolled + (candidate,))):
+        object.__setattr__(gallery, name, value)
     return EnrollResult(accepted=True)
 
 
@@ -307,8 +294,8 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     a RuntimeError. Raises ValueError when the claimed identity is not
     enrolled.
     """
-    n = gallery._sync()
     enrolled = gallery.enrolled
+    n = len(enrolled)
     code = gallery._identity_codes.get(claim.claimed_identity, -1)
     claimed = np.flatnonzero(gallery._codes[:n] == code)
     if not claimed.size:
@@ -325,13 +312,13 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     distinct, inverse = np.unique(scores, return_inverse=True)
     decided = [decide(claim, s, gallery.bands) for s in distinct.tolist()]
     codes = classify_many(scores, gallery.bands)
-    conflicts = tuple(gallery._ids[k]
+    conflicts = tuple(enrolled[k].template_id
                       for k in np.flatnonzero(codes == CODE_O))
     claim_record = decide(claim, max(claimed_scores), gallery.bands)
     overall = Response.REPEAT if conflicts else claim_record.response
     return VerifyResult(
         overall=overall, claim_record=claim_record,
-        target_records=tuple(zip(gallery._ids,
+        target_records=tuple(zip(gallery._index,
                                  map(decided.__getitem__, inverse.tolist()))),
         conflicting_ids=conflicts)
 
@@ -355,15 +342,17 @@ class ConsistencyReport:
 
 def consistency_check(gallery: Gallery) -> ConsistencyReport:
     """Re-classify every enrolled pair from scratch, one row at a time."""
-    n = gallery._sync()
-    rows, identities, ids = gallery._rows[:n], gallery._codes[:n], gallery._ids
+    enrolled = gallery.enrolled
+    n = len(enrolled)
+    rows, identities = gallery._rows[:n], gallery._codes[:n]
     bit_length = gallery.bit_length()
     undecidable: list[tuple[str, str, float]] = []
     ones = zeros = errors = total = 0
     for k in range(n - 1):
         scores = _agreements(rows[k + 1:], rows[k], bit_length) / bit_length
         codes = classify_many(scores, gallery.bands)
-        undecidable += [(ids[k], ids[k + 1 + m], float(scores[m]))
+        undecidable += [(enrolled[k].template_id,
+                         enrolled[k + 1 + m].template_id, float(scores[m]))
                         for m in np.flatnonzero(codes == CODE_O)]
         wrong = np.where(identities[k + 1:] == identities[k], CODE_D, CODE_I)
         errors += int((codes == wrong).sum())
@@ -393,24 +382,23 @@ def bits_from_hex(hex_string: str, bit_length: int) -> np.ndarray:
     return bits[:bit_length].copy()
 
 
-def _refuse_duplicate_ids(templates: list[Template], path) -> None:
-    seen: set[str] = set()
-    for tid in (t.template_id for t in templates):
-        if tid in seen:
-            raise ValueError(f"{path}: duplicate template_id {tid!r}")
-        seen.add(tid)
+def _string(entry, key: str) -> str:
+    """entry[key], which a gallery document must hold as a JSON string."""
+    value = entry[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} {json.dumps(value)} is not a string")
+    return value
 
 
 def save_gallery(gallery: Gallery, path) -> None:
-    """Write the gallery as a stable JSON document; a template_id held
-    twice, which load_gallery would refuse, is a ValueError up front."""
-    _refuse_duplicate_ids(gallery.enrolled, path)
+    """Write the gallery as a stable JSON document."""
+    size = -(-(gallery.bit_length() or 0) // 8)
     doc = {
         "bands": _bands_doc(gallery.bands),
         "bit_length": gallery.bit_length(),
         "templates": [
             {"template_id": t.template_id, "identity": t.identity,
-             "bits": bits_to_hex(t.bits)}
+             "bits": t.packed.view(np.uint8)[:size].tobytes().hex()}
             for t in gallery.enrolled
         ],
     }
@@ -429,9 +417,11 @@ def load_gallery(path) -> Gallery:
                              f"integer)")
         templates = [
             Template(bits=bits_from_hex(entry["bits"], bit_length),
-                     identity=entry["identity"],
-                     template_id=entry["template_id"])
+                     identity=_string(entry, "identity"),
+                     template_id=_string(entry, "template_id"))
             for entry in doc["templates"]
         ]
-    _refuse_duplicate_ids(templates, path)
-    return Gallery(bands=bands, enrolled=templates)
+    try:
+        return Gallery(bands=bands, enrolled=templates)
+    except ValueError as exc:   # a template_id held twice
+        raise ValueError(f"{path}: {exc}") from None

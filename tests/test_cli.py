@@ -376,6 +376,26 @@ class TestEnrollCommand:
             assert err == "error=duplicate_template_id detail=a_1\n"
             assert gallery.read_bytes() == before
 
+    def test_non_string_identity_in_the_file(self, run, tmp_path,
+                                             base_bits):
+        gallery = tmp_path / "gallery.json"
+        gallery.write_text(json.dumps({
+            "bands": {"n": "0.6", "p": "0.75", "target_rate": "1e-06"},
+            "bit_length": 512,
+            "templates": [{"bits": bits_to_hex(base_bits),
+                           "identity": ["alice"],
+                           "template_id": "alice_1"}]}))
+        before = gallery.read_bytes()
+        distinct = base_bits.copy()
+        distinct[:256] = 1 - distinct[:256]
+        code, out, err = run(["enroll", "--gallery", str(gallery),
+                              "--identity", "bob", "--template-id", "bob_1",
+                              "--bits-hex", bits_to_hex(distinct)])
+        assert (code, out) == (2, "")
+        assert err == (f"error=invalid_input detail={gallery}: not a gallery "
+                       f"document (identity [\"alice\"] is not a string)\n")
+        assert gallery.read_bytes() == before
+
     def test_bits_hex_must_match_gallery_length(self, run, tmp_path,
                                                 bands_json):
         gallery = tmp_path / "gallery.json"
