@@ -80,7 +80,7 @@ class RateCurves:
 
     def _index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.grid - t)))
-        if abs(float(self.grid[idx]) - t) > 1e-9:
+        if not abs(float(self.grid[idx]) - t) <= 1e-9:
             raise ValueError(f"threshold {t!r} is not on the curve grid")
         return idx
 
@@ -110,7 +110,7 @@ def binomial_upper_bound(successes, trials: int, confidence: float = 0.95):
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     k = np.asarray(successes, dtype=float)
-    if ((k < 0) | (k > trials)).any():
+    if (~((k >= 0) & (k <= trials))).any():
         raise ValueError("event counts must lie in [0, trials]")
     return np.where(k >= trials, 1.0,
                     betaincinv(k + 1.0, trials - k, confidence))

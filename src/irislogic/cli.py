@@ -71,7 +71,7 @@ def cmd_algebra(args) -> int:
 def cmd_calibrate(args) -> int:
     _require_distinct(args.out, [args.scores])
     if args.curves_out is not None:
-        _require_distinct(args.curves_out, [args.scores])
+        _require_distinct(args.curves_out, [args.scores, args.out])
     samples = calibration.read_scores_csv(args.scores)
     curves = calibration.empirical_curves(samples, grid_step=args.grid_step,
                                           confidence=args.confidence)

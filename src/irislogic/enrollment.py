@@ -186,41 +186,48 @@ class Gallery:
     audits them), and grows only through enroll, the gate. The constructor
     refuses templates of differing bit lengths and a repeated template_id.
     Beside enrolled the gallery keeps the packed rows stacked in one uint64
-    matrix, an id -> row index and an integer code per identity, so enroll,
+    matrix, an id -> row index and an identity -> rows map, so enroll,
     verify and consistency_check score against it without stacking the
-    templates again. Only enroll writes; verify and consistency_check read.
+    templates again. One append writes all three, for the constructor and
+    for enroll alike; verify and consistency_check only read.
     """
 
     bands: ScoreBands
     enrolled: tuple[Template, ...] = ()
     # capacity-doubling; rows past len(enrolled) are unused
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _codes: np.ndarray = field(init=False, repr=False, compare=False)
     # insertion order is row order: ids are unique and never removed
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _identity_codes: dict[str, int] = field(init=False, repr=False,
-                                            compare=False)
+    _members: dict[str, list[int]] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         enrolled = tuple(self.enrolled)
-        index: dict[str, int] = {}
-        identity_codes: dict[str, int] = {}
-        for k, t in enumerate(enrolled):
-            _require_bit_length(enrolled[0].bits.size, t.bits.size)
-            if index.setdefault(t.template_id, k) != k:
-                raise ValueError(f"duplicate template_id {t.template_id!r}")
-            identity_codes.setdefault(t.identity, len(identity_codes))
-        rows = (np.stack([t.packed for t in enrolled]) if enrolled
-                else np.empty((0, 0), np.uint64))
-        codes = np.array([identity_codes[t.identity] for t in enrolled],
-                         np.intp)
-        for name, value in (("enrolled", enrolled), ("_rows", rows),
-                            ("_codes", codes), ("_index", index),
-                            ("_identity_codes", identity_codes)):
+        for name, value in (("_rows", np.empty((0, 0), np.uint64)),
+                            ("_index", {}), ("_members", {})):
             object.__setattr__(self, name, value)
+        for t in enrolled:
+            _require_bit_length(enrolled[0].bits.size, t.bits.size)
+            if t.template_id in self._index:
+                raise ValueError(f"duplicate template_id {t.template_id!r}")
+            self._append(t)
+        object.__setattr__(self, "enrolled", enrolled)
+
+    def _append(self, t: Template) -> None:
+        """Write t's packed row, its id and its identity; the caller has
+        checked t's bit length and that its id is new."""
+        n = len(self._index)
+        if n == len(self._rows):
+            rows = np.empty((2 * n or 1, t.packed.size), np.uint64)
+            if n:
+                rows[:n] = self._rows
+            object.__setattr__(self, "_rows", rows)
+        self._rows[n] = t.packed
+        self._index[t.template_id] = n
+        self._members.setdefault(t.identity, []).append(n)
 
     def identities(self) -> set[str]:
-        return {t.identity for t in self.enrolled}
+        return set(self._members)
 
     def bit_length(self) -> int | None:
         return self.enrolled[0].bits.size if self.enrolled else None
@@ -253,19 +260,8 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
                           for k in np.flatnonzero(codes == CODE_O))
         if conflicts:
             return EnrollResult(accepted=False, conflicting_ids=conflicts)
-    rows, codes = gallery._rows, gallery._codes
-    if n == len(rows):
-        rows = np.empty((2 * n or 1, candidate.packed.size), np.uint64)
-        codes = np.empty(len(rows), np.intp)
-        if n:
-            rows[:n], codes[:n] = gallery._rows, gallery._codes
-    rows[n] = candidate.packed
-    codes[n] = gallery._identity_codes.setdefault(
-        candidate.identity, len(gallery._identity_codes))
-    gallery._index[candidate.template_id] = n
-    for name, value in (("_rows", rows), ("_codes", codes),
-                        ("enrolled", enrolled + (candidate,))):
-        object.__setattr__(gallery, name, value)
+    gallery._append(candidate)
+    object.__setattr__(gallery, "enrolled", enrolled + (candidate,))
     return EnrollResult(accepted=True)
 
 
@@ -296,9 +292,8 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     """
     enrolled = gallery.enrolled
     n = len(enrolled)
-    code = gallery._identity_codes.get(claim.claimed_identity, -1)
-    claimed = np.flatnonzero(gallery._codes[:n] == code)
-    if not claimed.size:
+    claimed = gallery._members.get(claim.claimed_identity)
+    if not claimed:
         raise ValueError(
             f"identity {claim.claimed_identity!r} is not enrolled")
     bit_length = probe.bits.size
@@ -344,7 +339,9 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
     """Re-classify every enrolled pair from scratch, one row at a time."""
     enrolled = gallery.enrolled
     n = len(enrolled)
-    rows, identities = gallery._rows[:n], gallery._codes[:n]
+    rows = gallery._rows[:n]
+    _, identities = np.unique([t.identity for t in enrolled],
+                              return_inverse=True)
     bit_length = gallery.bit_length()
     undecidable: list[tuple[str, str, float]] = []
     ones = zeros = errors = total = 0

@@ -93,6 +93,11 @@ class TestEmpiricalCounting:
         curves = empirical_curves(SMALL, grid_step=0.01)
         with pytest.raises(ValueError):
             curves.far_at(0.333)
+        # NaN compares false with everything, so it must not pass as on-grid
+        for at in (curves.far_at, curves.frr_at, curves.pofa_at,
+                   curves.pofr_at):
+            with pytest.raises(ValueError, match="not on the curve grid"):
+                at(float("nan"))
 
     def test_grid_step_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +175,8 @@ class TestBinomialUpperBound:
             binomial_upper_bound(-1, 10)
         with pytest.raises(ValueError):
             binomial_upper_bound(11, 10)
+        with pytest.raises(ValueError, match="event counts must lie in"):
+            binomial_upper_bound(np.nan, 10)
         with pytest.raises(ValueError):
             binomial_upper_bound(1, 10, confidence=1.0)
 

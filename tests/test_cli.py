@@ -236,6 +236,18 @@ class TestCalibrateCommand:
         assert code == 2
         assert "also an input path" in err
 
+    def test_curves_out_must_differ_from_out(self, run, tmp_path,
+                                             scores_csv):
+        # the curves file would overwrite the bands file just reported
+        same = tmp_path / "same.json"
+        code, out, err = run(["calibrate", "--scores", str(scores_csv),
+                              "--target", "1e-4", "--out", str(same),
+                              "--curves-out", str(same)])
+        assert (code, out) == (2, "")
+        assert err == (f"error=invalid_input detail=output path "
+                       f"{str(same)!r} is also an input path\n")
+        assert not same.exists()
+
     def test_missing_scores_file(self, run, tmp_path):
         code, _, err = run(["calibrate", "--scores",
                             str(tmp_path / "nope.csv"), "--target", "1e-4",

@@ -21,6 +21,7 @@ from irislogic.decision_engine import (
     defuzzify,
 )
 from irislogic.enrollment import (
+    ConsistencyReport,
     Gallery,
     Template,
     VerifyResult,
@@ -36,7 +37,7 @@ from irislogic.enrollment import (
     similarity,
     verify,
 )
-from irislogic.octal_algebra import MODAL_O
+from irislogic.octal_algebra import MODAL_D, MODAL_I, MODAL_O
 
 from table_data import GALLERY_12_BITS
 
@@ -93,6 +94,26 @@ def scalar_verify(gallery, probe, claim):
     return VerifyResult(overall=overall, claim_record=claim_record,
                         target_records=tuple(records),
                         conflicting_ids=tuple(conflicts))
+
+
+def scalar_consistency(enrolled, bands):
+    """Reference consistency_check: similarity() and classify() per pair,
+    judged against the identity labels."""
+    undecidable = []
+    ones = zeros = errors = 0
+    for a, b in combinations(enrolled, 2):
+        s = similarity(a, b)
+        modal = classify(s, bands)
+        if modal == MODAL_O:
+            undecidable.append((a.template_id, b.template_id, s))
+        ones += modal == MODAL_I
+        zeros += modal == MODAL_D
+        errors += modal == (MODAL_D if a.identity == b.identity else MODAL_I)
+    return ConsistencyReport(passed=not undecidable,
+                             pair_count=len(undecidable) + ones + zeros,
+                             undecidable_pairs=tuple(undecidable),
+                             crisp_one_count=ones, crisp_zero_count=zeros,
+                             recognition_errors=errors)
 
 
 @pytest.fixture
@@ -552,6 +573,13 @@ class TestGalleryMatrix:
                                (consistency_check, ())):
                 assert outcome(call, gallery, *args) == \
                     outcome(call, fresh, *args)
+            # fresh is built by the same append; the scalar references are not
+            assert gallery.identities() == \
+                {t.identity for t in gallery.enrolled}
+            assert consistency_check(gallery) == \
+                scalar_consistency(gallery.enrolled, BANDS)
+            assert outcome(verify, gallery, probe, claim) == \
+                outcome(scalar_verify, gallery, probe, claim)
             copy = Template(bits=probe.bits, identity=probe.identity,
                             template_id=f"probe{step}")
             assert outcome(enroll, gallery, copy) == \
