@@ -5,7 +5,7 @@ or above t; the false reject rate is the fraction of genuine scores below t.
 Finite samples understate tail risk, so each empirical curve gets a
 pessimistic envelope built from two parts:
 
-* a one-sided binomial upper confidence bound (default level 0.95) wherever
+* a one-sided binomial upper confidence bound (level 0.95) wherever
   the per-threshold event count is positive, and
 * a straight line fitted to log10(rate) against t over the sparse region
   (empirical rates between 1/N and 100/N), extrapolated past the data.
@@ -138,8 +138,7 @@ class Envelope:
     fallback: bool
 
 
-def pessimistic_envelope(grid, counts, trials: int, side: str,
-                         confidence: float = 0.95) -> Envelope:
+def pessimistic_envelope(grid, counts, trials: int, side: str) -> Envelope:
     """Pessimistic rate envelope over a threshold grid.
 
     counts holds the per-threshold event counts out of `trials`
@@ -152,7 +151,7 @@ def pessimistic_envelope(grid, counts, trials: int, side: str,
     grid = np.asarray(grid, dtype=float)
     counts = np.asarray(counts)
     empirical = counts / trials
-    bound = binomial_upper_bound(counts, trials, confidence)
+    bound = binomial_upper_bound(counts, trials)
     line = fit_log_tail(grid, empirical, trials)
     if line is None:
         raw = bound
@@ -172,8 +171,8 @@ def pessimistic_envelope(grid, counts, trials: int, side: str,
     return Envelope(rates=np.clip(mono, 0.0, 1.0), fallback=fallback)
 
 
-def empirical_curves(samples: LabeledScores, grid_step: float = 1e-4,
-                     confidence: float = 0.95) -> RateCurves:
+def empirical_curves(samples: LabeledScores,
+                     grid_step: float = 1e-4) -> RateCurves:
     """Rate curves for labeled scores on the grid {0, grid_step, ..., 1}."""
     if not 0.0 < grid_step <= 0.01:
         raise ValueError(f"grid_step must be in (0, 0.01], got {grid_step!r}")
@@ -185,10 +184,8 @@ def empirical_curves(samples: LabeledScores, grid_step: float = 1e-4,
     genuine = np.sort(samples.genuine)
     accept_counts = imposter.size - np.searchsorted(imposter, grid, side="left")
     reject_counts = np.searchsorted(genuine, grid, side="left")
-    pofa = pessimistic_envelope(grid, accept_counts, imposter.size, "accept",
-                                confidence)
-    pofr = pessimistic_envelope(grid, reject_counts, genuine.size, "reject",
-                                confidence)
+    pofa = pessimistic_envelope(grid, accept_counts, imposter.size, "accept")
+    pofr = pessimistic_envelope(grid, reject_counts, genuine.size, "reject")
     return RateCurves(grid=grid,
                       far=accept_counts / imposter.size,
                       frr=reject_counts / genuine.size,
@@ -312,32 +309,38 @@ def read_scores_csv(path) -> LabeledScores:
 
     The header names pair_id, label and score in any order, beside any other
     columns; fields may use CSV quoting and blank lines are skipped. Each
-    label must be genuine or imposter.
+    label must be genuine or imposter. Every malformed row is a ValueError
+    that names the file, and the line or pair.
     """
     genuine: list[float] = []
     imposter: list[float] = []
+    by_label = {GENUINE_LABEL: genuine, IMPOSTER_LABEL: imposter}
+    pick = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        columns = {name: k for k, name in enumerate(next(reader, []))}
         try:
+            columns = {name: k for k, name in enumerate(next(reader, []))}
             pick = operator.itemgetter(
                 *(columns[name] for name in ("pair_id", "label", "score")))
-        except KeyError:
-            raise ValueError(
-                f"{path}: expected header pair_id,label,score") from None
-        try:
             for pair_id, label, score in map(pick, filter(None, reader)):
-                if label == GENUINE_LABEL:
-                    genuine.append(float(score))
-                elif label == IMPOSTER_LABEL:
-                    imposter.append(float(score))
-                else:
-                    raise ValueError(
-                        f"{path}: pair {pair_id!r} has unknown label "
-                        f"{label!r}")
+                # by_label[label] runs before float(score), so a row with an
+                # unknown label is named for its label
+                by_label[label].append(float(score))
+        except KeyError:   # a column missing from the header, or a label
+            if pick is None:
+                raise ValueError(
+                    f"{path}: expected header pair_id,label,score") from None
+            raise ValueError(f"{path}: pair {pair_id!r} has unknown label "
+                             f"{label!r}") from None
         except IndexError:
             raise ValueError(f"{path}: line {reader.line_num} has fewer "
                              f"fields than the header") from None
+        except UnicodeDecodeError:
+            raise   # decoded ahead of the parser, so line_num is not its line
+        except (csv.Error, ValueError) as exc:
+            # a field over the size limit, or a score that is not a float
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {exc}") from None
     return LabeledScores(genuine=np.asarray(genuine),
                          imposter=np.asarray(imposter))
 
@@ -396,9 +399,14 @@ def _json_text(doc) -> str:
 
 @contextmanager
 def _document(path, kind: str):
-    """The JSON at path; a KeyError or TypeError in the block is ValueError."""
+    """The JSON at path; text that is not JSON, JSON nested too deep to
+    decode, and a KeyError or TypeError in the block are ValueError."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(
+                f"{path}: not a {kind} document ({exc})") from None
     try:
         yield doc
     except (KeyError, TypeError) as exc:

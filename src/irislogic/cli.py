@@ -68,13 +68,16 @@ def cmd_algebra(args) -> int:
     return EXIT_OK
 
 
+def _read_curves(args) -> calibration.RateCurves:
+    samples = calibration.read_scores_csv(args.scores)
+    return calibration.empirical_curves(samples, grid_step=args.grid_step)
+
+
 def cmd_calibrate(args) -> int:
     _require_distinct(args.out, [args.scores])
     if args.curves_out is not None:
         _require_distinct(args.curves_out, [args.scores, args.out])
-    samples = calibration.read_scores_csv(args.scores)
-    curves = calibration.empirical_curves(samples, grid_step=args.grid_step,
-                                          confidence=args.confidence)
+    curves = _read_curves(args)
     bands = calibration.derive_bands(curves, args.target)
     calibration.write_bands_json(bands, args.out)
     if args.curves_out is not None:
@@ -146,10 +149,7 @@ def cmd_enroll(args) -> int:
 
 def cmd_curves(args) -> int:
     _require_distinct(args.out, [args.scores])
-    samples = calibration.read_scores_csv(args.scores)
-    curves = calibration.empirical_curves(samples, grid_step=args.grid_step,
-                                          confidence=args.confidence)
-    calibration.write_curves_csv(curves, args.out)
+    calibration.write_curves_csv(_read_curves(args), args.out)
     return EXIT_OK
 
 
@@ -159,6 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eight-valued decision algebra, calibration and "
                     "gated enrollment for binary-template verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    scores = argparse.ArgumentParser(add_help=False)
+    scores.add_argument("--scores", required=True)
+    scores.add_argument("--grid-step", type=float, default=1e-4)
 
     p_alg = sub.add_parser("algebra",
                            help="operation tables and exhaustive self-checks")
@@ -169,12 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
                                                    "of stdout")
     p_alg.set_defaults(func=cmd_algebra)
 
-    p_cal = sub.add_parser("calibrate",
+    p_cal = sub.add_parser("calibrate", parents=[scores],
                            help="derive operating thresholds from scores")
-    p_cal.add_argument("--scores", required=True)
     p_cal.add_argument("--target", type=float, required=True)
-    p_cal.add_argument("--grid-step", type=float, default=1e-4)
-    p_cal.add_argument("--confidence", type=float, default=0.95)
     p_cal.add_argument("--out", required=True, help="bands JSON path")
     p_cal.add_argument("--curves-out", default=None,
                        help="also write the rate curves CSV")
@@ -211,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "payload bytes)")
     p_enr.set_defaults(func=cmd_enroll)
 
-    p_cur = sub.add_parser("curves", help="export rate curves for plotting")
-    p_cur.add_argument("--scores", required=True)
-    p_cur.add_argument("--grid-step", type=float, default=1e-4)
-    p_cur.add_argument("--confidence", type=float, default=0.95)
+    p_cur = sub.add_parser("curves", parents=[scores],
+                           help="export rate curves for plotting")
     p_cur.add_argument("--out", required=True)
     p_cur.set_defaults(func=cmd_curves)
 
@@ -233,6 +231,9 @@ def main(argv=None) -> int:
         return _fail("unachievable_target", str(exc), EXIT_FAILURE)
     except (ValueError, OSError) as exc:
         return _fail("invalid_input", str(exc), EXIT_USAGE)
+    except MemoryError as exc:
+        return _fail("out_of_memory", str(exc) or "allocation failed",
+                     EXIT_FAILURE)
 
 
 def run() -> None:

@@ -67,9 +67,7 @@ class Template:
 
 def similarity(a: Template, b: Template) -> float:
     """Fraction of agreeing bits; templates must share a length."""
-    if a.bits.size != b.bits.size:
-        raise ValueError(
-            f"bit lengths differ: {a.bits.size} vs {b.bits.size}")
+    _require_bit_length(a.bits.size, b.bits.size)
     agreements = a.bits.size - int(np.count_nonzero(a.bits != b.bits))
     return agreements / a.bits.size
 
@@ -104,19 +102,18 @@ def _require_bit_length(bit_length: int, other: int) -> None:
         raise ValueError(f"bit lengths differ: {bit_length} vs {other}")
 
 
-def _agreements(rows: np.ndarray, row: np.ndarray,
-                bit_length: int) -> np.ndarray:
-    """Exact agreement counts of one packed row against each row of a
-    stacked matrix: XOR and popcount on the packed words; zero padding bits
-    never differ."""
-    return bit_length - np.bitwise_count(rows ^ row).sum(axis=1)
+def _scores(rows: np.ndarray, row: np.ndarray, bit_length: int) -> np.ndarray:
+    """Similarity of one packed row to each row of a stacked matrix: exact
+    agreement counts from XOR and popcount on the packed words (zero padding
+    bits never differ), over the bit length."""
+    return (bit_length - np.bitwise_count(rows ^ row).sum(axis=1)) / bit_length
 
 
 def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
     """Similarity for every unordered pair, as columns (i, j, score).
 
-    i < j index into templates, in generation order; each score is an exact
-    agreement count over the bit length, equal to similarity() bit for bit.
+    i < j index into templates, in generation order; each score equals
+    similarity() bit for bit.
     """
     i, j = np.triu_indices(len(templates), 1)
     if len(templates) < 2:
@@ -126,14 +123,13 @@ def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
         _require_bit_length(bit_length, t.bits.size)
     packed = np.stack([t.packed for t in templates])
     # one preallocated column, not a list of rows to concatenate, which
-    # would double the peak; counts below 2**53 are exact in float64
+    # would double the peak
     scores = np.empty(i.size)
     end = 0
     for k in range(len(templates) - 1):
-        row = _agreements(packed[k + 1:], packed[k], bit_length)
+        row = _scores(packed[k + 1:], packed[k], bit_length)
         scores[end:end + row.size] = row
         end += row.size
-    scores /= bit_length
     return i, j, scores
 
 
@@ -186,9 +182,9 @@ class Gallery:
     audits them), and grows only through enroll, the gate. The constructor
     refuses templates of differing bit lengths and a repeated template_id.
     Beside enrolled the gallery keeps the packed rows stacked in one uint64
-    matrix, an id -> row index and an identity -> rows map, so enroll,
-    verify and consistency_check score against it without stacking the
-    templates again. One append writes all three, for the constructor and
+    matrix, an insertion-ordered set of ids and an identity -> rows map, so
+    enroll, verify and consistency_check score against it without stacking
+    the templates again. One append writes all three, for the constructor and
     for enroll alike; verify and consistency_check only read.
     """
 
@@ -196,19 +192,19 @@ class Gallery:
     enrolled: tuple[Template, ...] = ()
     # capacity-doubling; rows past len(enrolled) are unused
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    # insertion order is row order: ids are unique and never removed
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # a dict for its key order, which is row order: ids are never removed
+    _ids: dict[str, None] = field(init=False, repr=False, compare=False)
     _members: dict[str, list[int]] = field(init=False, repr=False,
                                            compare=False)
 
     def __post_init__(self) -> None:
         enrolled = tuple(self.enrolled)
         for name, value in (("_rows", np.empty((0, 0), np.uint64)),
-                            ("_index", {}), ("_members", {})):
+                            ("_ids", {}), ("_members", {})):
             object.__setattr__(self, name, value)
         for t in enrolled:
             _require_bit_length(enrolled[0].bits.size, t.bits.size)
-            if t.template_id in self._index:
+            if t.template_id in self._ids:
                 raise ValueError(f"duplicate template_id {t.template_id!r}")
             self._append(t)
         object.__setattr__(self, "enrolled", enrolled)
@@ -216,14 +212,14 @@ class Gallery:
     def _append(self, t: Template) -> None:
         """Write t's packed row, its id and its identity; the caller has
         checked t's bit length and that its id is new."""
-        n = len(self._index)
+        n = len(self._ids)
         if n == len(self._rows):
             rows = np.empty((2 * n or 1, t.packed.size), np.uint64)
             if n:
                 rows[:n] = self._rows
             object.__setattr__(self, "_rows", rows)
         self._rows[n] = t.packed
-        self._index[t.template_id] = n
+        self._ids[t.template_id] = None
         self._members.setdefault(t.identity, []).append(n)
 
     def identities(self) -> set[str]:
@@ -239,6 +235,18 @@ class EnrollResult:
     conflicting_ids: tuple[str, ...] = ()
 
 
+def _compare(gallery: Gallery,
+             t: Template) -> tuple[np.ndarray, tuple[str, ...]]:
+    """One-to-all comparison of t against a non-empty gallery of its bit
+    length: t's score against each enrolled template, in row order, and the
+    ids of the templates whose comparison is undecidable (O)."""
+    enrolled = gallery.enrolled
+    scores = _scores(gallery._rows[:len(enrolled)], t.packed, t.bits.size)
+    codes = classify_many(scores, gallery.bands)
+    return scores, tuple(enrolled[k].template_id
+                         for k in np.flatnonzero(codes == CODE_O))
+
+
 def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
     """One-to-all gate: the candidate joins only if no comparison is O.
 
@@ -246,22 +254,15 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
     listed. The first template always enrolls. A candidate whose template_id
     is already enrolled is a ValueError, raised before any scoring.
     """
-    enrolled = gallery.enrolled
-    n = len(enrolled)
-    if candidate.template_id in gallery._index:
+    if candidate.template_id in gallery._ids:
         raise ValueError(f"duplicate template_id {candidate.template_id!r}")
-    if n:
-        bit_length = candidate.bits.size
-        _require_bit_length(bit_length, gallery.bit_length())
-        agreements = _agreements(gallery._rows[:n], candidate.packed,
-                                 bit_length)
-        codes = classify_many(agreements / bit_length, gallery.bands)
-        conflicts = tuple(enrolled[k].template_id
-                          for k in np.flatnonzero(codes == CODE_O))
+    if gallery.enrolled:
+        _require_bit_length(candidate.bits.size, gallery.bit_length())
+        conflicts = _compare(gallery, candidate)[1]
         if conflicts:
             return EnrollResult(accepted=False, conflicting_ids=conflicts)
     gallery._append(candidate)
-    object.__setattr__(gallery, "enrolled", enrolled + (candidate,))
+    object.__setattr__(gallery, "enrolled", gallery.enrolled + (candidate,))
     return EnrollResult(accepted=True)
 
 
@@ -285,35 +286,28 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
 
     The gallery is scored in one packed XOR/popcount row, with one decide()
     per distinct score, so targets with equal scores share one record. The
-    claim is decided on the best score among the claimed identity's
-    templates, scored again by similarity(); a disagreement with the row is
-    a RuntimeError. Raises ValueError when the claimed identity is not
-    enrolled.
+    claim record is the one for the best score among the claimed identity's
+    templates, which are scored again by similarity(); a disagreement with
+    the row is a RuntimeError. Raises ValueError when the claimed identity
+    is not enrolled.
     """
-    enrolled = gallery.enrolled
-    n = len(enrolled)
     claimed = gallery._members.get(claim.claimed_identity)
     if not claimed:
         raise ValueError(
             f"identity {claim.claimed_identity!r} is not enrolled")
-    bit_length = probe.bits.size
-    _require_bit_length(bit_length, gallery.bit_length())
-    scores = _agreements(gallery._rows[:n], probe.packed,
-                         bit_length) / bit_length
-    claimed_scores = [similarity(probe, enrolled[k]) for k in claimed]
+    _require_bit_length(probe.bits.size, gallery.bit_length())
+    scores, conflicts = _compare(gallery, probe)
+    claimed_scores = [similarity(probe, gallery.enrolled[k]) for k in claimed]
     if claimed_scores != scores[claimed].tolist():
         raise RuntimeError("packed scores disagree with similarity() on the "
                            "claimed identity's templates")
     distinct, inverse = np.unique(scores, return_inverse=True)
     decided = [decide(claim, s, gallery.bands) for s in distinct.tolist()]
-    codes = classify_many(scores, gallery.bands)
-    conflicts = tuple(enrolled[k].template_id
-                      for k in np.flatnonzero(codes == CODE_O))
-    claim_record = decide(claim, max(claimed_scores), gallery.bands)
+    claim_record = decided[np.searchsorted(distinct, max(claimed_scores))]
     overall = Response.REPEAT if conflicts else claim_record.response
     return VerifyResult(
         overall=overall, claim_record=claim_record,
-        target_records=tuple(zip(gallery._index,
+        target_records=tuple(zip(gallery._ids,
                                  map(decided.__getitem__, inverse.tolist()))),
         conflicting_ids=conflicts)
 
@@ -346,7 +340,7 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
     undecidable: list[tuple[str, str, float]] = []
     ones = zeros = errors = total = 0
     for k in range(n - 1):
-        scores = _agreements(rows[k + 1:], rows[k], bit_length) / bit_length
+        scores = _scores(rows[k + 1:], rows[k], bit_length)
         codes = classify_many(scores, gallery.bands)
         undecidable += [(enrolled[k].template_id,
                          enrolled[k + 1 + m].template_id, float(scores[m]))

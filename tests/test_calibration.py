@@ -501,6 +501,41 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="line 3 has fewer fields"):
             read_scores_csv(short)
 
+    def test_scores_csv_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("pair_id,label,score\nx,match,0.5\n")
+        with pytest.raises(ValueError) as exc:
+            read_scores_csv(path)
+        assert str(exc.value) == f"{path}: pair 'x' has unknown label 'match'"
+        path.write_text("pair_id,label,score\nx,genuine,0.5\ny,imposter\n")
+        with pytest.raises(ValueError) as exc:
+            read_scores_csv(path)
+        assert str(exc.value) == \
+            f"{path}: line 3 has fewer fields than the header"
+        path.write_text("pair_id,label\nx,genuine\n")
+        with pytest.raises(ValueError) as exc:
+            read_scores_csv(path)
+        assert str(exc.value) == f"{path}: expected header pair_id,label,score"
+
+    @pytest.mark.parametrize("text, line, detail", [
+        ("pair_id,label,score\na:b,genuine,0.5\na:c,imposter,"
+         + "1" * (csv.field_size_limit() + 1) + "\n", 3,
+         f"field larger than field limit ({csv.field_size_limit()})"),
+        ("pair_id,label,score," + "x" * (csv.field_size_limit() + 1)
+         + "\na:b,genuine,0.5\n", 1,
+         f"field larger than field limit ({csv.field_size_limit()})"),
+        ("pair_id,label,score\na:b,genuine,0.5\na:c,imposter,0.5\x00\n", 3,
+         "could not convert string to float: '0.5\\x00'"),
+        ('pair_id,label,score\n"a\nb:c",genuine,high\n', 3,
+         "could not convert string to float: 'high'"),
+    ], ids=["long field", "long header field", "NUL in score", "word score"])
+    def test_bad_row_names_file_and_line(self, tmp_path, text, line, detail):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            read_scores_csv(path)
+        assert str(exc.value) == f"{path}: line {line}: {detail}"
+
     @pytest.mark.parametrize("name", sorted(SCORE_FILES))
     def test_reader_matches_dictreader(self, tmp_path, name):
         path = tmp_path / "scores.csv"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import irislogic
+from irislogic import cli
 from irislogic.cli import main
 from irislogic.enrollment import bits_to_hex
 
@@ -490,6 +491,79 @@ class TestCurvesCommand:
                             str(tmp_path / "c.csv")])
         assert code == 2
         assert err.startswith("error=invalid_input")
+
+
+class TestUnreadableInput:
+    """Each bad file ends in one error line that names it, never a
+    traceback, and leaves the file as it was."""
+
+    def one_error_line(self, err, prefix):
+        assert err.count("\n") == 1
+        assert err.startswith(prefix)
+
+    def test_bands_file_that_is_not_json(self, run, tmp_path, scores_csv):
+        curves = tmp_path / "curves.csv"
+        assert run(["curves", "--scores", str(scores_csv), "--grid-step",
+                    "0.01", "--out", str(curves)])[0] == 0
+        code, out, err = run(["decide", "--bands", str(curves), "--claim",
+                              "positive", "--score", "0.5"])
+        assert (code, out) == (2, "")
+        self.one_error_line(err, f"error=invalid_input detail={curves}: "
+                                 f"not a bands document (")
+
+    def test_json_nested_too_deep(self, run, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(["decide", "--bands", str(deep), "--claim",
+                              "positive", "--score", "0.5"])
+        assert (code, out) == (2, "")
+        self.one_error_line(err, f"error=invalid_input detail={deep}: "
+                                 f"not a bands document (")
+        code, out, err = run(["enroll", "--gallery", str(deep), "--identity",
+                              "alice", "--template-id", "alice_1",
+                              "--bits-hex", "a5"])
+        assert (code, out) == (2, "")
+        self.one_error_line(err, f"error=invalid_input detail={deep}: "
+                                 f"not a gallery document (")
+        assert deep.read_text() == "[" * 100_000
+
+    @pytest.mark.parametrize("score, detail", [
+        ("1" * 131_073, "field larger than field limit"),
+        ("0.5\x00", "could not convert string to float: '0.5\\x00'")],
+        ids=["long field", "NUL in score"])
+    def test_bad_score_row(self, run, tmp_path, score, detail):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"pair_id,label,score\na:b,genuine,0.5\n"
+                        f"a:c,imposter,{score}\n")
+        code, out, err = run(["calibrate", "--scores", str(path), "--target",
+                              "1e-4", "--out", str(tmp_path / "b.json")])
+        assert (code, out) == (2, "")
+        self.one_error_line(err, f"error=invalid_input detail={path}: "
+                                 f"line 3: {detail}")
+        assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "allocation failed")], ids=["message", "bare"])
+    def test_out_of_memory(self, run, monkeypatch, tmp_path, exc, detail):
+        def cmd_simulate(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_simulate", cmd_simulate)
+        code, out, err = run(["simulate", "--identities", "2",
+                              "--samples-per", "2", "--out",
+                              str(tmp_path / "s.csv")])
+        assert (code, out) == (1, "")
+        assert err == f"error=out_of_memory detail={detail}\n"
+
+    def test_confidence_is_not_an_option(self, run, tmp_path, scores_csv):
+        for argv in (["calibrate", "--target", "1e-4"], ["curves"]):
+            code, out, _ = run(argv + ["--scores", str(scores_csv), "--out",
+                                       str(tmp_path / "o"), "--confidence",
+                                       "0.9"])
+            assert (code, out) == (2, "")
+        assert not (tmp_path / "o").exists()
 
 
 class TestTopLevel:
