@@ -304,19 +304,32 @@ def atomic_write(path):
         raise
 
 
+@contextmanager
+def _reading(path, kind: str):
+    """path opened as text; any error in the block but OSError, whose
+    message names the file already, becomes a ValueError naming it."""
+    try:
+        with open(path, newline="") as fh:
+            yield fh
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a {kind} document ({exc})") from None
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_scores_csv(path) -> LabeledScores:
     """Load a labeled-scores CSV.
 
     The header names pair_id, label and score in any order, beside any other
     columns; fields may use CSV quoting and blank lines are skipped. Each
-    label must be genuine or imposter. Every malformed row is a ValueError
-    that names the file, and the line or pair.
+    label must be genuine or imposter. Every fault is a ValueError that
+    names the file; a malformed row's also names the line or pair.
     """
     genuine: list[float] = []
     imposter: list[float] = []
     by_label = {GENUINE_LABEL: genuine, IMPOSTER_LABEL: imposter}
     pick = None
-    with open(path, newline="") as fh:
+    with _reading(path, "scores") as fh:
         reader = csv.reader(fh)
         try:
             columns = {name: k for k, name in enumerate(next(reader, []))}
@@ -329,20 +342,19 @@ def read_scores_csv(path) -> LabeledScores:
         except KeyError:   # a column missing from the header, or a label
             if pick is None:
                 raise ValueError(
-                    f"{path}: expected header pair_id,label,score") from None
-            raise ValueError(f"{path}: pair {pair_id!r} has unknown label "
+                    "expected header pair_id,label,score") from None
+            raise ValueError(f"pair {pair_id!r} has unknown label "
                              f"{label!r}") from None
         except IndexError:
-            raise ValueError(f"{path}: line {reader.line_num} has fewer "
-                             f"fields than the header") from None
+            raise ValueError(f"line {reader.line_num} has fewer fields than "
+                             f"the header") from None
         except UnicodeDecodeError:
             raise   # decoded ahead of the parser, so line_num is not its line
         except (csv.Error, ValueError) as exc:
             # a field over the size limit, or a score that is not a float
-            raise ValueError(
-                f"{path}: line {reader.line_num}: {exc}") from None
-    return LabeledScores(genuine=np.asarray(genuine),
-                         imposter=np.asarray(imposter))
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+        return LabeledScores(genuine=np.asarray(genuine),
+                             imposter=np.asarray(imposter))
 
 
 _BLOCK_ROWS = 1 << 16
@@ -397,22 +409,6 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@contextmanager
-def _document(path, kind: str):
-    """The JSON at path; text that is not JSON, JSON nested too deep to
-    decode, and a KeyError or TypeError in the block are ValueError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(
-                f"{path}: not a {kind} document ({exc})") from None
-    try:
-        yield doc
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a {kind} document ({exc})") from None
-
-
 def _bands_doc(bands: ScoreBands) -> dict[str, str]:
     """Bands as decimal strings, the form bands and gallery files share."""
     return {name: repr(float(value)) for name, value in asdict(bands).items()}
@@ -434,5 +430,5 @@ def write_bands_json(bands: ScoreBands, path) -> None:
 
 
 def read_bands_json(path) -> ScoreBands:
-    with _document(path, "bands") as doc:
-        return _bands_from_doc(doc)
+    with _reading(path, "bands") as fh:
+        return _bands_from_doc(json.load(fh))

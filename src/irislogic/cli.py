@@ -3,7 +3,8 @@
 Subcommands: algebra (tables, self-checks, entropy, chains), calibrate,
 simulate, decide, enroll, curves. Exit codes: 0 success, 1 verification or
 protocol failure, 2 usage or parse error. Failures print one
-machine-readable `error=<token> detail=<text>` line on stderr.
+machine-readable `error=<token> detail=<text>` line on stderr; an argument
+the parser refuses is `error=usage`, with argparse's message as the detail.
 """
 
 from __future__ import annotations
@@ -28,9 +29,18 @@ def _fail(token: str, detail: str, code: int) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises its errors instead of printing usage and
+    exiting; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _require_distinct(out_path: str, in_paths: list[str]) -> None:
-    resolved = {os.path.abspath(p) for p in in_paths}
-    if os.path.abspath(out_path) in resolved:
+    # atomic_write replaces the file a symbolic link points to
+    resolved = {os.path.realpath(p) for p in in_paths}
+    if os.path.realpath(out_path) in resolved:
         raise ValueError(f"output path {out_path!r} is also an input path")
 
 
@@ -154,12 +164,12 @@ def cmd_curves(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="irislogic",
         description="Eight-valued decision algebra, calibration and "
                     "gated enrollment for binary-template verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    scores = argparse.ArgumentParser(add_help=False)
+    scores = _Parser(add_help=False)
     scores.add_argument("--scores", required=True)
     scores.add_argument("--grid-step", type=float, default=1e-4)
 
@@ -220,11 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail("usage", str(exc), EXIT_USAGE)
+    except SystemExit:   # --help, once the help text is printed
+        return EXIT_OK
     try:
         return args.func(args)
     except UnachievableTargetError as exc:

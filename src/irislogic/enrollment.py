@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import (_bands_doc, _bands_from_doc, _document,
-                          _json_text, atomic_write)
+from .calibration import (_bands_doc, _bands_from_doc, _json_text,
+                          _reading, atomic_write)
 from .decision_engine import (
     CODE_D,
     CODE_I,
@@ -398,21 +398,17 @@ def save_gallery(gallery: Gallery, path) -> None:
 
 
 def load_gallery(path) -> Gallery:
-    with _document(path, "gallery") as doc:
+    with _reading(path, "gallery") as fh:
+        doc = json.load(fh)
         bands = _bands_from_doc(doc["bands"])
         bit_length = doc["bit_length"]
         if not (type(bit_length) is int and bit_length > 0
                 or bit_length is None and not doc["templates"]):
-            raise ValueError(f"{path}: not a gallery document (bit_length "
-                             f"{json.dumps(bit_length)} is not a positive "
-                             f"integer)")
-        templates = [
+            raise TypeError(f"bit_length {json.dumps(bit_length)} is not a "
+                            f"positive integer")
+        return Gallery(bands=bands, enrolled=[
             Template(bits=bits_from_hex(entry["bits"], bit_length),
                      identity=_string(entry, "identity"),
                      template_id=_string(entry, "template_id"))
             for entry in doc["templates"]
-        ]
-    try:
-        return Gallery(bands=bands, enrolled=templates)
-    except ValueError as exc:   # a template_id held twice
-        raise ValueError(f"{path}: {exc}") from None
+        ])

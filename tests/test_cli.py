@@ -1,14 +1,20 @@
 """End-to-end command-line checks: outputs, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irislogic
 from irislogic import cli
@@ -236,6 +242,26 @@ class TestCalibrateCommand:
                             "--target", "1e-4", "--out", str(scores_csv)])
         assert code == 2
         assert "also an input path" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--target", "1e-4", "--out", "{link}"],
+        ["calibrate", "--target", "1e-4", "--out", "{dir}/b.json",
+         "--curves-out", "{link}"],
+        ["curves", "--out", "{link}"],
+    ], ids=["calibrate --out", "calibrate --curves-out", "curves --out"])
+    def test_refuses_a_link_to_an_input(self, run, tmp_path, scores_csv,
+                                        argv):
+        link = tmp_path / "link.csv"
+        link.symlink_to(scores_csv.name)
+        before = scores_csv.read_bytes()
+        argv = [a.format(link=link, dir=tmp_path) for a in argv]
+        code, out, err = run(argv + ["--scores", str(scores_csv)])
+        assert (code, out) == (2, "")
+        assert err == (f"error=invalid_input detail=output path "
+                       f"{str(link)!r} is also an input path\n")
+        assert scores_csv.read_bytes() == before
+        assert os.readlink(link) == scores_csv.name
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "scores.csv"]
 
     def test_curves_out_must_differ_from_out(self, run, tmp_path,
                                              scores_csv):
@@ -566,6 +592,70 @@ class TestUnreadableInput:
         assert not (tmp_path / "o").exists()
 
 
+class TestFileFaultsNameTheFile:
+    """A file that parses but holds bad content is named in the error line,
+    as one that does not parse is."""
+
+    BANDS = {"n": "0.6", "p": "0.75", "target_rate": "1e-06"}
+
+    def gallery(self, bits):
+        return json.dumps({"bands": self.BANDS, "bit_length": 12,
+                           "templates": [{"bits": bits, "identity": "alice",
+                                          "template_id": "alice_1"}]})
+
+    def bands_argv(self, path):
+        return ["decide", "--bands", str(path), "--claim", "positive",
+                "--score", "0.5"]
+
+    def gallery_argv(self, path):
+        return ["enroll", "--gallery", str(path), "--identity", "bob",
+                "--template-id", "bob_1", "--bits-hex", "b2d0"]
+
+    def scores_argv(self, path):
+        return ["curves", "--scores", str(path), "--grid-step", "0.01",
+                "--out", str(path.parent / "c.csv")]
+
+    @pytest.mark.parametrize("kind, text, detail", [
+        ("bands", '{"n": "0.9", "p": "0.1", "target_rate": "1e-4"}',
+         "thresholds must satisfy 0 <= n < p <= 1, got n=0.9 p=0.1"),
+        ("bands", '{"n": "0.1", "p": "0.9", "target_rate": "2"}',
+         "target_rate must be in (0, 1), got 2.0"),
+        ("bands", '{"n": "abc", "p": "0.9", "target_rate": "1e-4"}',
+         "could not convert string to float: 'abc'"),
+        ("gallery", "zz", "non-hexadecimal number found in fromhex() arg "
+                          "at position 0"),
+        ("gallery", "b2", "hex payload does not match the bit length"),
+        ("gallery", "b2df", "hex payload does not match the bit length"),
+        ("scores", "pair_id,label,score\n",
+         "genuine scores must be a non-empty 1-d list"),
+        ("scores", "pair_id,label,score\na:b,genuine,0.5\na:c,imposter,1.5\n",
+         "imposter scores must lie in [0, 1]"),
+        ("scores", "pair_id,label,score\na:b,genuine,nan\na:c,imposter,0.5\n",
+         "genuine scores must lie in [0, 1]"),
+    ], ids=["thresholds out of order", "bad target_rate", "not a float",
+            "payload not hex", "payload too short", "padding bits set",
+            "no rows", "score above 1", "NaN score"])
+    def test_bad_content(self, run, tmp_path, kind, text, detail):
+        path = tmp_path / f"{kind}.file"
+        path.write_text(self.gallery(text) if kind == "gallery" else text)
+        before = path.read_bytes()
+        code, out, err = run(getattr(self, f"{kind}_argv")(path))
+        assert (code, out) == (2, "")
+        assert err == f"error=invalid_input detail={path}: {detail}\n"
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == [path.name]
+
+    @pytest.mark.parametrize("kind", ["bands", "gallery", "scores"])
+    def test_non_utf8_byte(self, run, tmp_path, kind):
+        path = tmp_path / f"{kind}.file"
+        path.write_bytes(b"\xff")
+        code, out, err = run(getattr(self, f"{kind}_argv")(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error=invalid_input detail={path}: ")
+        assert path.read_bytes() == b"\xff"
+
+
 class TestTopLevel:
     def test_unknown_command(self, run):
         assert run(["nonsense"])[0] == 2
@@ -573,7 +663,250 @@ class TestTopLevel:
     def test_no_command(self, run):
         assert run([])[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--bands", "b.json", "--claim", "positive", "--score",
+         "abc"],
+        ["decide", "--claim", "positive", "--score", "0.5"],
+        ["nonsense"],
+        ["curves", "--scores", "s.csv", "--out", "c.csv", "--confidence",
+         "0.9"],
+    ], ids=["non-numeric score", "missing flag", "unknown command",
+            "--confidence"])
+    def test_argument_errors_are_one_line(self, run, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error=usage ")
+
+    def test_usage_detail_is_argparse_message(self, run):
+        assert run(["decide", "--bands", "b.json", "--claim", "positive",
+                    "--score", "abc"])[2] == (
+            "error=usage detail=argument --score: invalid float value: "
+            "'abc'\n")
+
     def test_help_exits_cleanly(self, run):
         code, out, _ = run(["--help"])
         assert code == 0
         assert "algebra" in out
+
+
+# Valid files that every generated case starts from; a case corrupts one of
+# them into "bad", or leaves them whole and passes a bad argument value.
+_BANDS = {"n": "0.3725", "p": "0.55", "target_rate": "1e-10"}
+_TEMPLATE = {"bits": "b2d0", "identity": "alice", "template_id": "alice_1"}
+_GALLERY = {"bands": _BANDS, "bit_length": 12, "templates": [_TEMPLATE]}
+_SCORE_ROWS = [["pair_id", "label", "score"], ["a:b", "genuine", "0.75"],
+               ["a:c", "imposter", "0.25"]]
+
+
+def _csv_text(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+_SCORES_TEXT = _csv_text(_SCORE_ROWS)
+_VALID_FILES = {"bands.json": json.dumps(_BANDS).encode(),
+                "gallery.json": json.dumps(_GALLERY).encode(),
+                "scores.csv": _SCORES_TEXT.encode()}
+
+# "@name" stands for the file of that name in the case's directory
+_READERS = {
+    "bands": [["decide", "--bands", "@bad", "--claim", "positive",
+               "--score", "0.5"],
+              ["enroll", "--gallery", "@new.json", "--bands", "@bad",
+               "--identity", "bob", "--template-id", "bob_1",
+               "--bits-hex", "b2d0"]],
+    "gallery": [["enroll", "--gallery", "@bad", "--identity", "bob",
+                 "--template-id", "bob_1", "--bits-hex", "b2d0"]],
+    "scores": [["calibrate", "--scores", "@bad", "--target", "1e-4",
+                "--out", "@b.json", "--curves-out", "@c.csv"],
+               ["curves", "--scores", "@bad", "--grid-step", "0.01",
+                "--out", "@c.csv"]],
+}
+
+
+def _replaced(doc, key, value):
+    return {**doc, key: value}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _bad_json(valid):
+    """Text that is not the given valid JSON document, in ways a reader
+    must refuse."""
+    text = json.dumps(valid)
+    return st.one_of(
+        # a strict prefix of an object is not JSON
+        st.integers(0, len(text) - 1).map(lambda k: text[:k].encode()),
+        # a NUL is JSON nowhere; 0x80, 0xff and a cut sequence are not UTF-8
+        st.tuples(st.integers(0, len(text)),
+                  st.sampled_from([b"\x00", b"\x80", b"\xff", b"\xc3("])).map(
+            lambda t: text[:t[0]].encode() + t[1] + text[t[0]:].encode()),
+        # nesting, closed or not, within or beyond the decoder's depth
+        st.tuples(st.sampled_from([("[", "]"), ('{"bands": ', "}")]),
+                  st.sampled_from([30, 3_000, 100_000]), st.booleans()).map(
+            lambda t: (t[0][0] * t[1]
+                       + ("1" + t[0][1] * t[1] if t[2] else "")).encode()),
+        # JSON of the wrong type at the top
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.text(max_size=5), st.lists(st.integers(), max_size=3)
+                  ).map(lambda v: json.dumps(v).encode()),
+    )
+
+
+# not a number, or outside [0, 1]
+_BAD_NUMBER = st.sampled_from(
+    [None, [], {}, ["0.5"], "", "abc", "nan", "inf", "-inf", "-0.5", "1.5",
+     "0x1", "1e400"])
+_BAD_BANDS = st.one_of(
+    st.tuples(st.sampled_from(list(_BANDS)), _BAD_NUMBER).map(
+        lambda t: _replaced(_BANDS, *t)),
+    st.sampled_from(list(_BANDS)).map(lambda key: _without(_BANDS, key)),
+    # thresholds out of order
+    st.floats(0, 1).flatmap(lambda p: st.floats(p, 1).map(
+        lambda n: {**_BANDS, "n": repr(n), "p": repr(p)})),
+    st.sampled_from(["0", "1"]).map(
+        lambda rate: _replaced(_BANDS, "target_rate", rate)),
+)
+_BAD_TEMPLATE = st.one_of(
+    # not hex, too short or long for 12 bits, padding bits set, not text
+    st.sampled_from(["zz", "b2d", "b2", "b2d0ff", "b2df", "", 178, None,
+                     ["b2d0"]]).map(
+        lambda bits: _replaced(_TEMPLATE, "bits", bits)),
+    st.tuples(st.sampled_from(["identity", "template_id"]),
+              st.sampled_from([None, 5, ["alice"], {}])).map(
+        lambda t: _replaced(_TEMPLATE, *t)),
+    st.sampled_from(list(_TEMPLATE)).map(
+        lambda key: _without(_TEMPLATE, key)),
+)
+_BAD_GALLERY = st.one_of(
+    _BAD_BANDS.map(lambda bands: _replaced(_GALLERY, "bands", bands)),
+    st.sampled_from([0, -12, "12", 12.0, True, None, [12], 4, 17]).map(
+        lambda n: _replaced(_GALLERY, "bit_length", n)),
+    st.sampled_from([None, 5, "x", [None], [[]], [{}], {"a": 1},
+                     [_TEMPLATE, _TEMPLATE]]).map(
+        lambda t: _replaced(_GALLERY, "templates", t)),
+    _BAD_TEMPLATE.map(lambda t: _replaced(_GALLERY, "templates", [t])),
+    st.sampled_from(list(_GALLERY)).map(
+        lambda key: _without(_GALLERY, key)),
+)
+
+
+def _with_cell(row, col, value):
+    rows = [list(r) for r in _SCORE_ROWS]
+    rows[row][col] = value
+    return _csv_text(rows).encode()
+
+
+_BAD_SCORES = st.one_of(
+    # cut before the last score begins: no rows, one class, or a short row
+    st.integers(0, _SCORES_TEXT.rfind(",") + 1).map(
+        lambda k: _SCORES_TEXT[:k].encode()),
+    st.tuples(st.integers(0, len(_SCORES_TEXT)),
+              st.sampled_from([b"\x80", b"\xff", b"\xc3("])).map(
+        lambda t: (_SCORES_TEXT[:t[0]].encode() + t[1]
+                   + _SCORES_TEXT[t[0]:].encode())),
+    # a NUL in a score, or a score out of range or not a float
+    st.tuples(st.sampled_from([1, 2]), st.integers(0, 4)).map(
+        lambda t: _with_cell(t[0], 2, "0.25"[:t[1]] + "\x00"
+                             + "0.25"[t[1]:])),
+    st.tuples(st.sampled_from([1, 2]), st.sampled_from(
+        ["-0.25", "1.5", "nan", "inf", "-inf", "1e400", "", "abc", "0x1"])
+    ).map(lambda t: _with_cell(t[0], 2, t[1])),
+    # a field over the csv module's 131,072-character limit
+    st.tuples(st.integers(0, 2), st.integers(0, 2),
+              st.integers(131_073, 140_000)).map(
+        lambda t: _with_cell(t[0], t[1], "x" * t[2])),
+    # an unknown label, a header without one of its names, a row without
+    # its score
+    st.tuples(st.sampled_from([1, 2]), st.sampled_from(
+        ["", "Genuine", "impostor", "genuine "])).map(
+        lambda t: _with_cell(t[0], 1, t[1])),
+    st.tuples(st.integers(0, 2), st.sampled_from(["", "scores", "Label"])
+              ).map(lambda t: _with_cell(0, t[0], t[1])),
+    st.sampled_from([1, 2]).map(lambda row: _csv_text(
+        [r if k != row else r[:2] for k, r in enumerate(_SCORE_ROWS)]
+    ).encode()),
+)
+
+
+def _file_fault(kind, contents):
+    return st.tuples(st.just("bad"), contents,
+                     st.sampled_from(_READERS[kind]))
+
+
+# One bad value per command, the rest valid. No --grid-step is a positive
+# number below 1e-4 and no size is large: the curves grid and the
+# simulated population stay small.
+_NOT_A_NUMBER = ["nan", "inf", "-inf", "abc", "", "1e400"]
+_BAD_ARGUMENTS = st.one_of(
+    st.sampled_from(_NOT_A_NUMBER + ["-0.5", "1.5", "0x1"]).map(
+        lambda v: ["decide", "--bands", "@bands.json", "--claim",
+                   "positive", "--score", v]),
+    st.sampled_from(["sideways", "", "POSITIVE"]).map(
+        lambda v: ["decide", "--bands", "@bands.json", "--claim", v,
+                   "--score", "0.5"]),
+    st.sampled_from(_NOT_A_NUMBER + ["-1", "0", "1", "1.5"]).map(
+        lambda v: ["calibrate", "--scores", "@scores.csv", "--target", v,
+                   "--out", "@b.json"]),
+    st.tuples(st.sampled_from(["calibrate", "curves"]), st.sampled_from(
+        _NOT_A_NUMBER + ["-1", "0", "-1e-9", "0.3", "0.007"])).map(
+        lambda t: [t[0], "--scores", "@scores.csv", "--grid-step", t[1],
+                   "--out", "@o"] + (["--target", "0.1"]
+                                     if t[0] == "calibrate" else [])),
+    st.tuples(st.sampled_from(["--identities", "--samples-per", "--bits"]),
+              st.sampled_from(_NOT_A_NUMBER + ["-1", "0", "1.5"])).map(
+        lambda t: ["simulate", "--identities", "2", "--samples-per", "2",
+                   "--bits", "64", "--out", "@s.csv", *t]),
+    st.tuples(st.sampled_from(["--flip", "--seed"]),
+              st.sampled_from(_NOT_A_NUMBER + ["-1", "0.5", "1.5"])).map(
+        lambda t: ["simulate", "--identities", "2", "--samples-per", "2",
+                   "--bits", "64", "--out", "@s.csv", *t]),
+    st.tuples(st.sampled_from(["--bits-hex", "--bit-length"]),
+              st.sampled_from(_NOT_A_NUMBER + ["-1", "0", "4", "zz", "a"])
+              ).map(lambda t: ["enroll", "--gallery", "@gallery.json",
+                               "--identity", "bob", "--template-id", "bob_1",
+                               "--bits-hex", "b2d0", *t]),
+    st.sampled_from(["nan", "inf", "abc", "-1"]).map(
+        lambda v: ["algebra", "table", "--op", v]),
+)
+_BAD_INPUTS = st.one_of(
+    _file_fault("bands", st.one_of(_bad_json(_BANDS), _BAD_BANDS.map(
+        lambda doc: json.dumps(doc).encode()))),
+    _file_fault("gallery", st.one_of(_bad_json(_GALLERY), _BAD_GALLERY.map(
+        lambda doc: json.dumps(doc).encode()))),
+    _file_fault("scores", _BAD_SCORES),
+    st.tuples(st.none(), st.none(), _BAD_ARGUMENTS),
+)
+
+
+class TestNoInputEndsInATraceback:
+    """Generated bad files and bad argument values through main, in
+    process: exit 1 or 2, nothing on stdout, one error= line on stderr that
+    names the bad file if there is one, and every file as it was."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BAD_INPUTS)
+    def test_one_error_line(self, case):
+        bad, contents, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            files = dict(_VALID_FILES)
+            if bad is not None:
+                files[bad] = contents
+            for name, data in files.items():
+                Path(tmp, name).write_bytes(data)
+            argv = [os.path.join(tmp, a[1:]) if a.startswith("@") else a
+                    for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (1, 2)
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error=")
+            if bad is not None:
+                assert os.path.join(tmp, bad) in err.getvalue()
+            assert {name: Path(tmp, name).read_bytes()
+                    for name in os.listdir(tmp)} == files
