@@ -132,19 +132,15 @@ def fit_log_tail(grid, rates, trials: int) -> tuple[float, float] | None:
     return float(slope), float(intercept)
 
 
-@dataclass(frozen=True)
-class Envelope:
-    rates: np.ndarray
-    fallback: bool
-
-
-def pessimistic_envelope(grid, counts, trials: int, side: str) -> Envelope:
-    """Pessimistic rate envelope over a threshold grid.
+def pessimistic_envelope(grid, counts, trials: int,
+                         side: str) -> tuple[np.ndarray, bool]:
+    """Pessimistic rate envelope over a threshold grid, and its fallback flag.
 
     counts holds the per-threshold event counts out of `trials`
     (exceedances for the accept side, misses for the reject side). The
-    result is never below the empirical rate at any threshold and is
-    monotone in the direction proper to its side.
+    rates are never below the empirical rate at any threshold and are
+    monotone in the direction proper to their side; the flag is true when
+    no fit region existed and the confidence bound stands alone.
     """
     if side not in ("accept", "reject"):
         raise ValueError(f"side must be 'accept' or 'reject', got {side!r}")
@@ -168,7 +164,7 @@ def pessimistic_envelope(grid, counts, trials: int, side: str) -> Envelope:
         mono = np.maximum.accumulate(raw[::-1])[::-1]
     else:
         mono = np.maximum.accumulate(raw)
-    return Envelope(rates=np.clip(mono, 0.0, 1.0), fallback=fallback)
+    return np.clip(mono, 0.0, 1.0), fallback
 
 
 def empirical_curves(samples: LabeledScores,
@@ -184,14 +180,16 @@ def empirical_curves(samples: LabeledScores,
     genuine = np.sort(samples.genuine)
     accept_counts = imposter.size - np.searchsorted(imposter, grid, side="left")
     reject_counts = np.searchsorted(genuine, grid, side="left")
-    pofa = pessimistic_envelope(grid, accept_counts, imposter.size, "accept")
-    pofr = pessimistic_envelope(grid, reject_counts, genuine.size, "reject")
+    pofa, pofa_fallback = pessimistic_envelope(
+        grid, accept_counts, imposter.size, "accept")
+    pofr, pofr_fallback = pessimistic_envelope(
+        grid, reject_counts, genuine.size, "reject")
     return RateCurves(grid=grid,
                       far=accept_counts / imposter.size,
                       frr=reject_counts / genuine.size,
-                      pofa=pofa.rates, pofr=pofr.rates,
-                      pofa_fallback=pofa.fallback,
-                      pofr_fallback=pofr.fallback)
+                      pofa=pofa, pofr=pofr,
+                      pofa_fallback=pofa_fallback,
+                      pofr_fallback=pofr_fallback)
 
 
 def derive_bands(curves: RateCurves, target: float) -> ScoreBands:

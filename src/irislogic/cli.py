@@ -3,8 +3,9 @@
 Subcommands: algebra (tables, self-checks, entropy, chains), calibrate,
 simulate, decide, enroll, curves. Exit codes: 0 success, 1 verification or
 protocol failure, 2 usage or parse error. Failures print one
-machine-readable `error=<token> detail=<text>` line on stderr; an argument
-the parser refuses is `error=usage`, with argparse's message as the detail.
+machine-readable `error=<token> detail=<text>` line on stderr, with any line
+break in the detail escaped; an argument the parser refuses is
+`error=usage`, with argparse's message as the detail.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,9 +26,23 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+# the characters str.splitlines splits on, each mapped to its escape
+_LINE_BREAKS = {ord(c): repr(c)[1:-1]
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _fail(token: str, detail: str, code: int) -> int:
-    print(f"error={token} detail={detail}", file=sys.stderr)
+    print(f"error={token} detail={detail.translate(_LINE_BREAKS)}",
+          file=sys.stderr)
     return code
+
+
+def _one_line(value: str) -> str:
+    """The value of an id option, which is printed inside one-line
+    records; a value holding a line break is refused."""
+    if value.translate(_LINE_BREAKS) != value:
+        raise argparse.ArgumentTypeError(f"{value!r} holds a line break")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +96,11 @@ def cmd_algebra(args) -> int:
 
 def _read_curves(args) -> calibration.RateCurves:
     samples = calibration.read_scores_csv(args.scores)
-    return calibration.empirical_curves(samples, grid_step=args.grid_step)
+    return calibration.empirical_curves(samples)
+
+
+def _fields(record) -> list[str]:
+    return [f"{name}={value!r}" for name, value in asdict(record).items()]
 
 
 def cmd_calibrate(args) -> int:
@@ -93,12 +113,7 @@ def cmd_calibrate(args) -> int:
     if args.curves_out is not None:
         calibration.write_curves_csv(curves, args.curves_out)
     report = calibration.comfort_report(curves, bands)
-    print(f"n={bands.n!r} p={bands.p!r} target_rate={bands.target_rate!r}")
-    print(f"genuine_discomfort={report.genuine_discomfort!r}")
-    print(f"imposter_discomfort={report.imposter_discomfort!r}")
-    print(f"total_discomfort={report.total_discomfort!r}")
-    print(f"true_accept_safety={report.true_accept_safety!r}")
-    print(f"false_reject_safety={report.false_reject_safety!r}")
+    print(" ".join(_fields(bands)), *_fields(report), sep="\n")
     return EXIT_OK
 
 
@@ -171,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     scores = _Parser(add_help=False)
     scores.add_argument("--scores", required=True)
-    scores.add_argument("--grid-step", type=float, default=1e-4)
 
     p_alg = sub.add_parser("algebra",
                            help="operation tables and exhaustive self-checks")
@@ -205,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--claim", choices=["positive", "negative"],
                        required=True)
     p_dec.add_argument("--score", type=float, required=True)
-    p_dec.add_argument("--identity", default="X")
+    p_dec.add_argument("--identity", type=_one_line, default="X")
     p_dec.set_defaults(func=cmd_decide)
 
     p_enr = sub.add_parser("enroll",
@@ -213,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enr.add_argument("--gallery", required=True)
     p_enr.add_argument("--bands", default=None,
                        help="bands JSON, required when creating the gallery")
-    p_enr.add_argument("--identity", required=True)
-    p_enr.add_argument("--template-id", required=True)
+    p_enr.add_argument("--identity", type=_one_line, required=True)
+    p_enr.add_argument("--template-id", type=_one_line, required=True)
     p_enr.add_argument("--bits-hex", required=True)
     p_enr.add_argument("--bit-length", type=int, default=None,
                        help="bit length of a new gallery (default: 8 x the "

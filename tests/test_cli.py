@@ -193,6 +193,24 @@ class TestCalibrateCommand:
                                "imposter_discomfort", "total_discomfort",
                                "true_accept_safety", "false_reject_safety"]
 
+    def test_report_bytes(self, run, tmp_path):
+        # overlapping classes: every report value is non-zero, and p needs
+        # repr's shortest round-trip digits
+        scores = tmp_path / "s.csv"
+        assert run(["simulate", "--identities", "20", "--samples-per", "5",
+                    "--bits", "256", "--flip", "0.3", "--seed", "3",
+                    "--out", str(scores)])[0] == 0
+        code, out, err = run(["calibrate", "--scores", str(scores),
+                              "--target", "1e-1", "--out",
+                              str(tmp_path / "b.json")])
+        assert (code, err) == (0, "")
+        assert out == ("n=0.5351 p=0.5458000000000001 target_rate=0.1\n"
+                       "genuine_discomfort=0.115\n"
+                       "imposter_discomfort=0.16421052631578947\n"
+                       "total_discomfort=0.27921052631578946\n"
+                       "true_accept_safety=0.9109473684210526\n"
+                       "false_reject_safety=0.95\n")
+
     def test_does_not_load_scipy_stats(self, tmp_path):
         # the bound needs one scipy.special function; scipy.stats would add
         # hundreds of modules to every process that imports the package
@@ -490,6 +508,25 @@ class TestEnrollCommand:
                        "from the gallery's bit length 12\n")
         assert gallery.read_bytes() == before
 
+    def test_conflicting_id_with_a_line_break(self, run, tmp_path,
+                                              base_bits):
+        # the gallery file may hold such an id; the error line escapes it
+        gallery = tmp_path / "gallery.json"
+        gallery.write_text(json.dumps({
+            "bands": {"n": "0.6", "p": "0.75", "target_rate": "1e-06"},
+            "bit_length": 512,
+            "templates": [{"bits": bits_to_hex(base_bits),
+                           "identity": "alice", "template_id": "a\nb"}]}))
+        before = gallery.read_bytes()
+        shady = base_bits.copy()
+        shady[:166] = 1 - shady[:166]
+        code, out, err = run(["enroll", "--gallery", str(gallery),
+                              "--identity", "bob", "--template-id", "bob_1",
+                              "--bits-hex", bits_to_hex(shady)])
+        assert (code, out) == (1, "")
+        assert err == "error=unenrollable detail=conflicting_ids=a\\nb\n"
+        assert gallery.read_bytes() == before
+
     def test_new_gallery_requires_bands(self, run, tmp_path, base_bits):
         code, _, err = run(["enroll", "--gallery",
                             str(tmp_path / "g.json"), "--identity", "a",
@@ -503,20 +540,20 @@ class TestCurvesCommand:
     def test_writes_rates(self, run, tmp_path, scores_csv):
         path = tmp_path / "curves.csv"
         code, _, _ = run(["curves", "--scores", str(scores_csv),
-                          "--grid-step", "0.01", "--out", str(path)])
+                          "--out", str(path)])
         assert code == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "t,far,frr,pofa,pofr"
-        assert len(lines) == 102
+        assert len(lines) == 10_002
         first = lines[1].split(",")
         assert first[:3] == ["0.0", "1.0", "0.0"]
 
-    def test_bad_grid_step(self, run, tmp_path, scores_csv):
-        code, _, err = run(["curves", "--scores", str(scores_csv),
-                            "--grid-step", "0.3", "--out",
-                            str(tmp_path / "c.csv")])
-        assert code == 2
-        assert err.startswith("error=invalid_input")
+    def test_golden_bytes(self, run, tmp_path, scores_csv):
+        path = tmp_path / "curves.csv"
+        assert run(["curves", "--scores", str(scores_csv), "--out",
+                    str(path)])[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3f2213a6f87c03287d587e34cce8f895be815c70f6d797e17541f28983fb9270")
 
 
 class TestUnreadableInput:
@@ -528,14 +565,18 @@ class TestUnreadableInput:
         assert err.startswith(prefix)
 
     def test_bands_file_that_is_not_json(self, run, tmp_path, scores_csv):
-        curves = tmp_path / "curves.csv"
-        assert run(["curves", "--scores", str(scores_csv), "--grid-step",
-                    "0.01", "--out", str(curves)])[0] == 0
-        code, out, err = run(["decide", "--bands", str(curves), "--claim",
-                              "positive", "--score", "0.5"])
-        assert (code, out) == (2, "")
-        self.one_error_line(err, f"error=invalid_input detail={curves}: "
-                                 f"not a bands document (")
+        # a line break in the file name is escaped in the detail
+        for name, shown in (("curves.csv", "curves.csv"),
+                            ("bad\nname.json", "bad\\nname.json")):
+            curves = tmp_path / name
+            assert run(["curves", "--scores", str(scores_csv), "--out",
+                        str(curves)])[0] == 0
+            code, out, err = run(["decide", "--bands", str(curves),
+                                  "--claim", "positive", "--score", "0.5"])
+            assert (code, out) == (2, "")
+            self.one_error_line(err, f"error=invalid_input "
+                                     f"detail={tmp_path}/{shown}: not a "
+                                     f"bands document (")
 
     def test_json_nested_too_deep(self, run, tmp_path):
         deep = tmp_path / "deep.json"
@@ -583,12 +624,17 @@ class TestUnreadableInput:
         assert (code, out) == (1, "")
         assert err == f"error=out_of_memory detail={detail}\n"
 
-    def test_confidence_is_not_an_option(self, run, tmp_path, scores_csv):
+    @pytest.mark.parametrize("option, value", [("--confidence", "0.9"),
+                                               ("--grid-step", "0.01")],
+                             ids=["--confidence", "--grid-step"])
+    def test_dropped_option_is_a_usage_error(self, run, tmp_path,
+                                             scores_csv, option, value):
         for argv in (["calibrate", "--target", "1e-4"], ["curves"]):
-            code, out, _ = run(argv + ["--scores", str(scores_csv), "--out",
-                                       str(tmp_path / "o"), "--confidence",
-                                       "0.9"])
+            code, out, err = run(argv + ["--scores", str(scores_csv),
+                                         "--out", str(tmp_path / "o"),
+                                         option, value])
             assert (code, out) == (2, "")
+            self.one_error_line(err, "error=usage ")
         assert not (tmp_path / "o").exists()
 
 
@@ -612,8 +658,8 @@ class TestFileFaultsNameTheFile:
                 "--template-id", "bob_1", "--bits-hex", "b2d0"]
 
     def scores_argv(self, path):
-        return ["curves", "--scores", str(path), "--grid-step", "0.01",
-                "--out", str(path.parent / "c.csv")]
+        return ["curves", "--scores", str(path), "--out",
+                str(path.parent / "c.csv")]
 
     @pytest.mark.parametrize("kind, text, detail", [
         ("bands", '{"n": "0.9", "p": "0.1", "target_rate": "1e-4"}',
@@ -670,13 +716,29 @@ class TestTopLevel:
         ["nonsense"],
         ["curves", "--scores", "s.csv", "--out", "c.csv", "--confidence",
          "0.9"],
+        ["curves", "--scores", "s.csv", "--out", "c.csv", "--grid-step",
+         "0.01"],
+        ["decide", "--bands", "b.json", "--claim", "positive", "--score",
+         "0.5", "--identity", "a\nb"],
+        ["enroll", "--gallery", "g.json", "--identity", "alice",
+         "--template-id", "a\nb", "--bits-hex", "b2d0"],
+        ["enroll", "--gallery", "g.json", "--identity", "a\u2028b",
+         "--template-id", "a_1", "--bits-hex", "b2d0"],
     ], ids=["non-numeric score", "missing flag", "unknown command",
-            "--confidence"])
+            "--confidence", "--grid-step", "decide --identity",
+            "enroll --template-id", "enroll --identity"])
     def test_argument_errors_are_one_line(self, run, argv):
         code, out, err = run(argv)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         assert err.startswith("error=usage ")
+
+    def test_detail_line_breaks_are_escaped(self, capsys):
+        breaks = [c for c in map(chr, range(sys.maxunicode + 1))
+                  if len(f"a{c}b".splitlines()) == 2]
+        cli._fail("t", "\\x00".join(breaks), 2)
+        assert capsys.readouterr().err == "error=t detail={}\n".format(
+            "\\x00".join(repr(c)[1:-1] for c in breaks))
 
     def test_usage_detail_is_argparse_message(self, run):
         assert run(["decide", "--bands", "b.json", "--claim", "positive",
@@ -719,8 +781,7 @@ _READERS = {
                  "--template-id", "bob_1", "--bits-hex", "b2d0"]],
     "scores": [["calibrate", "--scores", "@bad", "--target", "1e-4",
                 "--out", "@b.json", "--curves-out", "@c.csv"],
-               ["curves", "--scores", "@bad", "--grid-step", "0.01",
-                "--out", "@c.csv"]],
+               ["curves", "--scores", "@bad", "--out", "@c.csv"]],
 }
 
 
@@ -836,9 +897,9 @@ def _file_fault(kind, contents):
                      st.sampled_from(_READERS[kind]))
 
 
-# One bad value per command, the rest valid. No --grid-step is a positive
-# number below 1e-4 and no size is large: the curves grid and the
-# simulated population stay small.
+# One bad value per command, the rest valid. No size is large, so the
+# simulated population stays small. --grid-step is no longer an option:
+# its cases check that passing it is a usage error.
 _NOT_A_NUMBER = ["nan", "inf", "-inf", "abc", "", "1e400"]
 _BAD_ARGUMENTS = st.one_of(
     st.sampled_from(_NOT_A_NUMBER + ["-0.5", "1.5", "0x1"]).map(
