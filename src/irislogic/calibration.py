@@ -169,9 +169,14 @@ def pessimistic_envelope(grid, counts, trials: int,
 
 def empirical_curves(samples: LabeledScores,
                      grid_step: float = 1e-4) -> RateCurves:
-    """Rate curves for labeled scores on the grid {0, grid_step, ..., 1}."""
-    if not 0.0 < grid_step <= 0.01:
-        raise ValueError(f"grid_step must be in (0, 0.01], got {grid_step!r}")
+    """Rate curves for labeled scores on the grid {0, grid_step, ..., 1}.
+
+    grid_step must lie in [1e-5, 0.01] and divide 1, so the grid holds at
+    most 100,001 points.
+    """
+    if not 1e-5 <= grid_step <= 0.01:
+        raise ValueError(
+            f"grid_step must be in [1e-05, 0.01], got {grid_step!r}")
     cells = round(1.0 / grid_step)
     if abs(cells * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step must divide 1, got {grid_step!r}")

@@ -383,21 +383,73 @@ def _string(entry, key: str) -> str:
 
 def save_gallery(gallery: Gallery, path) -> None:
     """Write the gallery as a stable JSON document."""
-    size = -(-(gallery.bit_length() or 0) // 8)
+    n = len(gallery.enrolled)
+    width = 2 * -(-(gallery.bit_length() or 0) // 8)
+    # every payload in one hex call, sliced per entry
+    text = gallery._rows[:n].view(np.uint8)[:, :width // 2].tobytes().hex()
     doc = {
         "bands": _bands_doc(gallery.bands),
         "bit_length": gallery.bit_length(),
         "templates": [
             {"template_id": t.template_id, "identity": t.identity,
-             "bits": t.packed.view(np.uint8)[:size].tobytes().hex()}
-            for t in gallery.enrolled
+             "bits": text[k * width:(k + 1) * width]}
+            for k, t in enumerate(gallery.enrolled)
         ],
     }
     with atomic_write(path) as fh:
         fh.write(_json_text(doc))
 
 
+def _row_templates(bits: np.ndarray, packed: np.ndarray, identities,
+                   template_ids) -> list[Template]:
+    """Templates whose bits and packed are read-only rows of two matrices
+    that only they reference. The caller has checked every row, and packed
+    holds the rows of bits as Template packs them, so no row is checked or
+    packed again."""
+    bits.setflags(write=False)
+    packed.setflags(write=False)
+    templates = []
+    for row, words, identity, template_id in zip(bits, packed, identities,
+                                                  template_ids):
+        t = object.__new__(Template)
+        # vars() skips the frozen __setattr__, as object.__setattr__ does
+        vars(t).update(bits=row, identity=identity, template_id=template_id,
+                       packed=words)
+        templates.append(t)
+    return templates
+
+
+def _decode_all(entries, bit_length) -> list[Template]:
+    """The templates of a gallery document's entries, decoded at once: one
+    fromhex over the joined payloads, one length check, one padding check
+    and one unpack. Any fault raises KeyError, TypeError or ValueError
+    without naming the entry."""
+    payloads = [entry["bits"] for entry in entries]
+    identities = [_string(entry, "identity") for entry in entries]
+    template_ids = [_string(entry, "template_id") for entry in entries]
+    if not payloads:
+        return []
+    size = -(-bit_length // 8)
+    if {len(p) for p in payloads} != {2 * size}:
+        raise ValueError("hex payload does not match the bit length")
+    # equal lengths keep each payload on its own row; whitespace between
+    # byte pairs leaves fewer bytes, which reshape refuses with ValueError
+    raw = np.frombuffer(bytes.fromhex("".join(payloads)), np.uint8).reshape(
+        len(payloads), size)
+    # padding bits are the low bits of each row's last byte
+    if (raw[:, -1] & ((1 << (8 * size - bit_length)) - 1)).any():
+        raise ValueError("hex payload does not match the bit length")
+    packed = np.zeros((len(payloads), -(-bit_length // 64) * 8), np.uint8)
+    packed[:, :size] = raw
+    return _row_templates(np.unpackbits(raw, axis=1, count=bit_length),
+                          packed.view(np.uint64), identities, template_ids)
+
+
 def load_gallery(path) -> Gallery:
+    """Read a gallery file. A well-formed file decodes as one matrix, and
+    each template's bits and packed are read-only rows of it. A file with
+    any fault is decoded again one entry at a time, so the error is the
+    first bad entry's own."""
     with _reading(path, "gallery") as fh:
         doc = json.load(fh)
         bands = _bands_from_doc(doc["bands"])
@@ -406,9 +458,13 @@ def load_gallery(path) -> Gallery:
                 or bit_length is None and not doc["templates"]):
             raise TypeError(f"bit_length {json.dumps(bit_length)} is not a "
                             f"positive integer")
-        return Gallery(bands=bands, enrolled=[
-            Template(bits=bits_from_hex(entry["bits"], bit_length),
-                     identity=_string(entry, "identity"),
-                     template_id=_string(entry, "template_id"))
-            for entry in doc["templates"]
-        ])
+        try:
+            enrolled = _decode_all(doc["templates"], bit_length)
+        except (KeyError, TypeError, ValueError):
+            enrolled = [
+                Template(bits=bits_from_hex(entry["bits"], bit_length),
+                         identity=_string(entry, "identity"),
+                         template_id=_string(entry, "template_id"))
+                for entry in doc["templates"]
+            ]
+        return Gallery(bands=bands, enrolled=enrolled)

@@ -99,13 +99,18 @@ class TestEmpiricalCounting:
             with pytest.raises(ValueError, match="not on the curve grid"):
                 at(float("nan"))
 
-    def test_grid_step_validation(self):
-        with pytest.raises(ValueError):
-            empirical_curves(SMALL, grid_step=0.02)
-        with pytest.raises(ValueError):
-            empirical_curves(SMALL, grid_step=0.0)
-        with pytest.raises(ValueError):
-            empirical_curves(SMALL, grid_step=0.003)
+    def test_grid_step_validation(self, monkeypatch):
+        linspace = np.linspace
+
+        def bounded_linspace(start, stop, num, *args, **kwargs):
+            # a step below the floor must be refused before any allocation
+            assert num <= 10 ** 6, f"asked for a {num}-point grid"
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", bounded_linspace)
+        for step in (0.02, 0.0, 0.003, 1e-6, 1e-9):
+            with pytest.raises(ValueError):
+                empirical_curves(SMALL, grid_step=step)
 
 
 class TestBinomialUpperBound:

@@ -2,15 +2,17 @@
 
 import json
 import os
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irislogic import enrollment
+from irislogic.calibration import _bands_from_doc, _reading
 from irislogic.decision_engine import (
     Claim,
     Polarity,
@@ -631,6 +633,108 @@ class TestGalleryMatrix:
         assert repr(a) == repr(b)
 
 
+
+def scalar_load_gallery(path):
+    """Reference loader: one bits_from_hex and one Template per entry."""
+    with _reading(path, "gallery") as fh:
+        doc = json.load(fh)
+        bands = _bands_from_doc(doc["bands"])
+        bit_length = doc["bit_length"]
+        if not (type(bit_length) is int and bit_length > 0
+                or bit_length is None and not doc["templates"]):
+            raise TypeError(f"bit_length {json.dumps(bit_length)} is not a "
+                            f"positive integer")
+        return Gallery(bands=bands, enrolled=[
+            Template(bits=bits_from_hex(entry["bits"], bit_length),
+                     identity=enrollment._string(entry, "identity"),
+                     template_id=enrollment._string(entry, "template_id"))
+            for entry in doc["templates"]
+        ])
+
+
+def loaded(load, path):
+    """The error a loader raises, or what it loaded, in comparable form."""
+    try:
+        gallery = load(path)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return gallery.bands, [(t.template_id, t.identity, t.bits.dtype,
+                            t.bits.tobytes(), t.packed.dtype,
+                            t.packed.tobytes()) for t in gallery.enrolled]
+
+
+def traced_peak(call, *args):
+    """call's result and the tracemalloc peak of the call alone, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def gallery_doc(bit_length, payloads):
+    """A gallery document holding the payloads under ids t0, t1, ..."""
+    return {"bands": {"n": "0.6", "p": "0.75", "target_rate": "1e-06"},
+            "bit_length": bit_length,
+            "templates": [{"bits": payload, "identity": f"id{k % 2}",
+                           "template_id": f"t{k}"}
+                          for k, payload in enumerate(payloads)]}
+
+
+_FAULTS = [("bits", 7), ("bits", None), ("bits", ["b2"]),
+           ("bits", "missing"), ("identity", 3), ("identity", None),
+           ("identity", "missing"), ("template_id", ["t0"]),
+           ("template_id", "t0"), ("template_id", "missing"),
+           ("entry", 4), ("entry", "x"), ("entry", ["t0"])]
+
+
+@st.composite
+def gallery_documents(draw):
+    """Gallery documents, well-formed or with any number of faults."""
+    bit_length = draw(st.integers(1, 40))
+    faulty = draw(st.booleans())
+    entries = []
+    for k in range(draw(st.integers(0, 5))):
+        payload = bits_to_hex(draw(st.lists(
+            st.integers(0, 1), min_size=bit_length, max_size=bit_length)))
+        at = draw(st.integers(0, len(payload) - 1))
+        forms = {
+            "ok": payload, "upper": payload.upper(),
+            "spaced": " ".join(payload[i:i + 2]
+                               for i in range(0, len(payload), 2)),
+            "nonhex": payload[:at] + "z" + payload[at + 1:],
+            "short": payload[:-2], "long": payload + "00",
+            "padding": payload[:-1] + "f",
+        }
+        form = draw(st.sampled_from(
+            list(forms) if faulty else ["ok", "upper", "spaced"]))
+        entry = {"bits": forms[form], "identity": f"id{k % 2}",
+                 "template_id": f"t{k}"}
+        if faulty and draw(st.integers(0, 3)) == 0:
+            key, value = draw(st.sampled_from(_FAULTS))
+            if key == "entry":
+                entry = value
+            elif value == "missing":
+                del entry[key]
+            else:
+                entry[key] = value
+        entries.append(entry)
+    if faulty and len(entries) > 1 and draw(st.booleans()):
+        # a byte moved to the next payload leaves the joined payloads as
+        # they were
+        a, b = (e.get("bits") if isinstance(e, dict) else None
+                for e in entries[:2])
+        if isinstance(a, str) and isinstance(b, str):
+            entries[0]["bits"], entries[1]["bits"] = a[:-2], a[-2:] + b
+    templates = entries
+    if faulty and draw(st.integers(0, 4)) == 0:
+        templates = draw(st.sampled_from(
+            [None, {}, {"t0": entries}, "", "templates"]))
+    if faulty and draw(st.integers(0, 9)) == 0:
+        bit_length = None
+    return dict(gallery_doc(bit_length, []), templates=templates)
+
+
 class TestPersistence:
     def test_hex_round_trip(self):
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1],
@@ -768,3 +872,46 @@ class TestPersistence:
         with pytest.raises(ValueError, match=rf"gallery\.json: not a gallery "
                                              rf"document \({key} \["):
             load_gallery(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=gallery_documents())
+    # faults the bulk decode alone would miss: padding bits set, and a byte
+    # moved to the next payload; whitespace between byte pairs is valid
+    @example(doc=gallery_doc(12, ["b2d0", "b2df"]))
+    @example(doc=gallery_doc(16, ["b2", "d0b2d0"]))
+    @example(doc=gallery_doc(16, ["b2 d0", "B2D0"]))
+    def test_loader_matches_scalar_loader(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("gallery") / "gallery.json"
+        path.write_text(json.dumps(doc))
+        got = loaded(load_gallery, path)
+        assert got == loaded(scalar_load_gallery, path)
+        if isinstance(got[0], type):
+            return
+        for t in load_gallery(path).enrolled:
+            with pytest.raises(ValueError):
+                t.bits[0] = 1
+            with pytest.raises(ValueError):
+                t.packed[0] = 0
+            padded = np.zeros(t.packed.size * 8, dtype=np.uint8)
+            padded[:-(-t.bits.size // 8)] = np.packbits(t.bits)
+            assert padded.tobytes() == t.packed.tobytes()
+
+    def test_large_gallery_loads_as_one_matrix(self, tmp_path, monkeypatch):
+        # 8 bytes per bit anywhere in the loader would be 11.7 MiB
+        gallery = Gallery(bands=BANDS, enrolled=generate_population(
+            375, 4, 1024, 0.15, seed=7))
+        path = tmp_path / "gallery.json"
+        save_gallery(gallery, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-entry decoding of a well-formed file")
+
+        monkeypatch.setattr(enrollment, "bits_from_hex", refuse)
+        monkeypatch.setattr(np, "packbits", refuse)
+        monkeypatch.setattr(Template, "__post_init__", refuse)
+        loaded_gallery, load_peak = traced_peak(load_gallery, path)
+        assert load_peak <= 4.5 * 2 ** 20
+        assert traced_peak(save_gallery, gallery, path)[1] <= 4 * 2 ** 20
+        assert [(t.template_id, t.bits.tobytes())
+                for t in loaded_gallery.enrolled] == \
+            [(t.template_id, t.bits.tobytes()) for t in gallery.enrolled]
