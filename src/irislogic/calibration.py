@@ -32,7 +32,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .decision_engine import ScoreBands
 
@@ -112,6 +111,9 @@ def binomial_upper_bound(successes, trials: int, confidence: float = 0.95):
     k = np.asarray(successes, dtype=float)
     if (~((k >= 0) & (k <= trials))).any():
         raise ValueError("event counts must lie in [0, trials]")
+    # imported here, not at the top: scipy adds about 300 modules to a
+    # process, and of the package only this bound needs it
+    from scipy.special import betaincinv
     return np.where(k >= trials, 1.0,
                     betaincinv(k + 1.0, trials - k, confidence))
 

@@ -144,7 +144,7 @@ def cmd_enroll(args) -> int:
         gallery = enrollment.load_gallery(args.gallery)
         if bands and bands != gallery.bands:
             return _fail("bands_mismatch", args.bands, EXIT_USAGE)
-        if any(t.template_id == args.template_id for t in gallery.enrolled):
+        if args.template_id in gallery._ids:
             return _fail("duplicate_template_id", args.template_id,
                          EXIT_USAGE)
     elif bands:
@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg.add_argument("--op", choices=["product", "sum"], default="product")
     p_alg.add_argument("--out", default=None, help="write to file instead "
                                                    "of stdout")
-    p_alg.set_defaults(func=cmd_algebra)
 
     p_cal = sub.add_parser("calibrate", parents=[scores],
                            help="derive operating thresholds from scores")
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", required=True, help="bands JSON path")
     p_cal.add_argument("--curves-out", default=None,
                        help="also write the rate curves CSV")
-    p_cal.set_defaults(func=cmd_calibrate)
 
     p_sim = sub.add_parser("simulate",
                            help="generate a synthetic labeled-scores CSV")
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--flip", type=float, default=0.15)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_dec = sub.add_parser("decide", help="adjudicate one claim and score")
     p_dec.add_argument("--bands", required=True)
@@ -220,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True)
     p_dec.add_argument("--score", type=float, required=True)
     p_dec.add_argument("--identity", type=_one_line, default="X")
-    p_dec.set_defaults(func=cmd_decide)
 
     p_enr = sub.add_parser("enroll",
                            help="gate one candidate into a gallery file")
@@ -233,25 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_enr.add_argument("--bit-length", type=int, default=None,
                        help="bit length of a new gallery (default: 8 x the "
                             "payload bytes)")
-    p_enr.set_defaults(func=cmd_enroll)
 
     p_cur = sub.add_parser("curves", parents=[scores],
                            help="export rate curves for plotting")
     p_cur.add_argument("--out", required=True)
-    p_cur.set_defaults(func=cmd_curves)
 
     return parser
 
 
+# parse_args leaves the parser as it found it, so one serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except argparse.ArgumentError as exc:
         return _fail("usage", str(exc), EXIT_USAGE)
     except SystemExit:   # --help, once the help text is printed
         return EXIT_OK
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* attribute is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except UnachievableTargetError as exc:
         return _fail("unachievable_target", str(exc), EXIT_FAILURE)
     except (ValueError, OSError) as exc:

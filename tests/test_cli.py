@@ -1,5 +1,6 @@
 """End-to-end command-line checks: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -234,6 +235,49 @@ class TestCalibrateCommand:
             timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "b.json").exists()
+
+    def test_only_a_bound_loads_scipy(self, run, tmp_path):
+        # importing scipy.special costs a process hundreds of modules, so a
+        # command that computes no bound must not load it
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from irislogic.cli import main",
+            "bands, gallery, scores, out = sys.argv[1:]",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert main(['algebra', 'verify']) == 0",
+            "    assert main(['simulate', '--identities', '6',",
+            "                 '--samples-per', '3', '--bits', '256',",
+            "                 '--seed', '4', '--out', scores]) == 0",
+            "    assert main(['decide', '--bands', bands, '--claim',",
+            "                 'positive', '--score', '0.5']) == 0",
+            "    assert main(['enroll', '--gallery', gallery, '--bands',",
+            "                 bands, '--identity', 'alice', '--template-id',",
+            "                 'alice_1', '--bits-hex', 'b2d0']) == 0",
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            "assert not loaded, f'{len(loaded)} scipy modules loaded'",
+            "assert main(['calibrate', '--scores', scores, '--target',",
+            "             '0.05', '--out', out]) == 0",
+            "assert 'scipy.special' in sys.modules, 'scipy.special not loaded'",
+        ])
+        bands = tmp_path / "bands.json"
+        bands.write_text(json.dumps({"n": "0.3725", "p": "0.55",
+                                     "target_rate": "1e-10"}))
+        scores = tmp_path / "s.csv"
+        src = os.path.dirname(os.path.dirname(irislogic.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(bands),
+             str(tmp_path / "g.json"), str(scores), str(tmp_path / "b.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, out, err = run(["calibrate", "--scores", str(scores),
+                              "--target", "0.05", "--out",
+                              str(tmp_path / "here.json")])
+        assert (code, err) == (0, "")
+        assert proc.stdout == out
+        assert ((tmp_path / "b.json").read_bytes()
+                == (tmp_path / "here.json").read_bytes())
 
     def test_unachievable_target_is_a_failure(self, run, tmp_path):
         overlap = tmp_path / "overlap.csv"
@@ -624,6 +668,22 @@ class TestUnreadableInput:
         assert (code, out) == (1, "")
         assert err == f"error=out_of_memory detail={detail}\n"
 
+    def test_out_of_memory_patched_after_a_call(self, run, monkeypatch,
+                                                tmp_path):
+        # a parser kept from an earlier call still runs the cmd_* function
+        # that the module holds now
+        assert run(["algebra", "verify"])[0] == 0
+
+        def cmd_simulate(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_simulate", cmd_simulate)
+        code, out, err = run(["simulate", "--identities", "2",
+                              "--samples-per", "2", "--out",
+                              str(tmp_path / "s.csv")])
+        assert (code, out) == (1, "")
+        assert err == "error=out_of_memory detail=allocation failed\n"
+
     @pytest.mark.parametrize("option, value", [("--confidence", "0.9"),
                                                ("--grid-step", "0.01")],
                              ids=["--confidence", "--grid-step"])
@@ -750,6 +810,56 @@ class TestTopLevel:
         code, out, _ = run(["--help"])
         assert code == 0
         assert "algebra" in out
+
+
+class TestOneParser:
+    """Every main call parses with one parser, built once per process, and
+    no call leaves anything behind for the next."""
+
+    RECORD = ("claim=positive identity=X score=0.45 modal=O "
+              "response=repeat output_octal=3 meaning=PR'&NR'\n")
+
+    @pytest.fixture
+    def decide_argv(self, tmp_path):
+        path = tmp_path / "bands.json"
+        path.write_text(json.dumps({"n": "0.3725", "p": "0.55",
+                                    "target_rate": "1e-10"}))
+        return ["decide", "--bands", str(path), "--claim", "positive",
+                "--score", "0.45"]
+
+    def test_default_after_a_given_value(self, run, decide_argv):
+        assert run(decide_argv + ["--identity", "Y"])[0] == 0
+        assert run(decide_argv) == (0, self.RECORD, "")
+
+    def test_default_op_after_sum(self, run):
+        assert run(["algebra", "table", "--op", "sum"])[0] == 0
+        code, out, err = run(["algebra", "table"])
+        assert (code, err) == (0, "")
+        assert [[int(c) for c in line.split(",")[1:9]]
+                for line in out.splitlines()[1:9]] == PRODUCT
+
+    def test_good_call_after_a_usage_error(self, run):
+        code, _, err = run(["algebra", "table", "--op", "difference"])
+        assert (code, err[:12]) == (2, "error=usage ")
+        code, out, err = run(["algebra", "verify"])
+        assert (code, err) == (0, "")
+        assert out.endswith("result=pass\n")
+
+    def test_no_parser_built_after_the_first_call(self, run, monkeypatch,
+                                                   decide_argv):
+        assert run(["algebra", "verify"])[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argument parser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert run(decide_argv) == (0, self.RECORD, "")
+        code, out, err = run(["algebra", "verify"])
+        assert (code, err) == (0, "")
+        assert out.endswith("result=pass\n")
+        assert run(decide_argv[:-1] + ["abc"]) == (
+            2, "", "error=usage detail=argument --score: invalid float "
+                   "value: 'abc'\n")
 
 
 # Valid files that every generated case starts from; a case corrupts one of
