@@ -364,13 +364,21 @@ def bits_to_hex(bits: np.ndarray) -> str:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
 
 
+def _payload(hex_string: str, bit_length: int) -> bytes:
+    """The bytes of a hex payload: exactly ceil(bit_length / 8) of them,
+    with the padding bits (the low bits of the last byte) all 0."""
+    raw = bytes.fromhex(hex_string)
+    padding = (1 << -bit_length % 8) - 1
+    # an empty payload has no last byte to check
+    if len(raw) != -(-bit_length // 8) or raw and raw[-1] & padding:
+        raise ValueError("hex payload does not match the bit length")
+    return raw
+
+
 def bits_from_hex(hex_string: str, bit_length: int) -> np.ndarray:
     """Unpack exactly ceil(bit_length / 8) bytes; padding bits must be 0."""
-    raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
-    bits = np.unpackbits(raw)
-    if raw.size != -(-bit_length // 8) or (bits[bit_length:] != 0).any():
-        raise ValueError("hex payload does not match the bit length")
-    return bits[:bit_length].copy()
+    raw = np.frombuffer(_payload(hex_string, bit_length), np.uint8)
+    return np.unpackbits(raw)[:bit_length].copy()
 
 
 def _string(entry, key: str) -> str:
@@ -419,52 +427,37 @@ def _row_templates(bits: np.ndarray, packed: np.ndarray, identities,
     return templates
 
 
-def _decode_all(entries, bit_length) -> list[Template]:
-    """The templates of a gallery document's entries, decoded at once: one
-    fromhex over the joined payloads, one length check, one padding check
-    and one unpack. Any fault raises KeyError, TypeError or ValueError
-    without naming the entry."""
-    payloads = [entry["bits"] for entry in entries]
-    identities = [_string(entry, "identity") for entry in entries]
-    template_ids = [_string(entry, "template_id") for entry in entries]
-    if not payloads:
-        return []
-    size = -(-bit_length // 8)
-    if {len(p) for p in payloads} != {2 * size}:
-        raise ValueError("hex payload does not match the bit length")
-    # equal lengths keep each payload on its own row; whitespace between
-    # byte pairs leaves fewer bytes, which reshape refuses with ValueError
-    raw = np.frombuffer(bytes.fromhex("".join(payloads)), np.uint8).reshape(
-        len(payloads), size)
-    # padding bits are the low bits of each row's last byte
-    if (raw[:, -1] & ((1 << (8 * size - bit_length)) - 1)).any():
-        raise ValueError("hex payload does not match the bit length")
-    packed = np.zeros((len(payloads), -(-bit_length // 64) * 8), np.uint8)
-    packed[:, :size] = raw
-    return _row_templates(np.unpackbits(raw, axis=1, count=bit_length),
-                          packed.view(np.uint64), identities, template_ids)
-
-
 def load_gallery(path) -> Gallery:
-    """Read a gallery file. A well-formed file decodes as one matrix, and
-    each template's bits and packed are read-only rows of it. A file with
-    any fault is decoded again one entry at a time, so the error is the
-    first bad entry's own."""
+    """Read a gallery file in one pass over its entries, in file order.
+
+    Each entry's payload is decoded and checked on its own, then its
+    identity and template_id, so an error is the first bad entry's own; a
+    repeated template_id is refused once every entry has decoded. The
+    payloads are then unpacked at once, and each template's bits and packed
+    are read-only rows of one matrix per file.
+    """
     with _reading(path, "gallery") as fh:
         doc = json.load(fh)
         bands = _bands_from_doc(doc["bands"])
         bit_length = doc["bit_length"]
+        entries = doc["templates"]
         if not (type(bit_length) is int and bit_length > 0
-                or bit_length is None and not doc["templates"]):
+                or bit_length is None and not entries):
             raise TypeError(f"bit_length {json.dumps(bit_length)} is not a "
                             f"positive integer")
-        try:
-            enrolled = _decode_all(doc["templates"], bit_length)
-        except (KeyError, TypeError, ValueError):
-            enrolled = [
-                Template(bits=bits_from_hex(entry["bits"], bit_length),
-                         identity=_string(entry, "identity"),
-                         template_id=_string(entry, "template_id"))
-                for entry in doc["templates"]
-            ]
-        return Gallery(bands=bands, enrolled=enrolled)
+        if type(entries) is not list:
+            raise TypeError("templates is not a list")
+        if not entries:
+            return Gallery(bands=bands)
+        payloads, identities, template_ids = [], [], []
+        for entry in entries:
+            payloads.append(_payload(entry["bits"], bit_length))
+            identities.append(_string(entry, "identity"))
+            template_ids.append(_string(entry, "template_id"))
+        size = -(-bit_length // 8)
+        raw = np.frombuffer(b"".join(payloads), np.uint8).reshape(-1, size)
+        packed = np.zeros((len(raw), -(-bit_length // 64) * 8), np.uint8)
+        packed[:, :size] = raw
+        return Gallery(bands=bands, enrolled=_row_templates(
+            np.unpackbits(raw, axis=1, count=bit_length),
+            packed.view(np.uint64), identities, template_ids))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import irislogic
@@ -579,6 +579,17 @@ class TestEnrollCommand:
         assert code == 2
         assert "requires --bands" in err
 
+    def test_empty_bits_hex_into_a_new_gallery(self, run, tmp_path,
+                                               bands_json):
+        gallery = tmp_path / "g.json"
+        code, out, err = run(["enroll", "--gallery", str(gallery), "--bands",
+                              str(bands_json), "--identity", "a",
+                              "--template-id", "a_1", "--bits-hex", ""])
+        assert (code, out) == (2, "")
+        assert err == ("error=invalid_input detail=bits must be a non-empty "
+                       "1-d array\n")
+        assert not gallery.exists()
+
 
 class TestCurvesCommand:
     def test_writes_rates(self, run, tmp_path, scores_csv):
@@ -955,7 +966,7 @@ _BAD_GALLERY = st.one_of(
     _BAD_BANDS.map(lambda bands: _replaced(_GALLERY, "bands", bands)),
     st.sampled_from([0, -12, "12", 12.0, True, None, [12], 4, 17]).map(
         lambda n: _replaced(_GALLERY, "bit_length", n)),
-    st.sampled_from([None, 5, "x", [None], [[]], [{}], {"a": 1},
+    st.sampled_from([None, 5, "x", "", {}, [None], [[]], [{}], {"a": 1},
                      [_TEMPLATE, _TEMPLATE]]).map(
         lambda t: _replaced(_GALLERY, "templates", t)),
     _BAD_TEMPLATE.map(lambda t: _replaced(_GALLERY, "templates", [t])),
@@ -1039,6 +1050,10 @@ _BAD_ARGUMENTS = st.one_of(
               ).map(lambda t: ["enroll", "--gallery", "@gallery.json",
                                "--identity", "bob", "--template-id", "bob_1",
                                "--bits-hex", "b2d0", *t]),
+    st.sampled_from(["", "zz", "a", "b2 d"]).map(
+        lambda v: ["enroll", "--gallery", "@new.json", "--bands",
+                   "@bands.json", "--identity", "bob", "--template-id",
+                   "bob_1", "--bits-hex", v]),
     st.sampled_from(["nan", "inf", "abc", "-1"]).map(
         lambda v: ["algebra", "table", "--op", v]),
 )
@@ -1059,6 +1074,9 @@ class TestNoInputEndsInATraceback:
 
     @settings(max_examples=150, deadline=None)
     @given(_BAD_INPUTS)
+    # templates that are not a list once loaded as an empty gallery
+    @example(("bad", json.dumps(_replaced(_GALLERY, "templates", "")).encode(),
+              _READERS["gallery"][0]))
     def test_one_error_line(self, case):
         bad, contents, argv = case
         with tempfile.TemporaryDirectory() as tmp:

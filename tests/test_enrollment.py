@@ -644,6 +644,8 @@ def scalar_load_gallery(path):
                 or bit_length is None and not doc["templates"]):
             raise TypeError(f"bit_length {json.dumps(bit_length)} is not a "
                             f"positive integer")
+        if type(doc["templates"]) is not list:
+            raise TypeError("templates is not a list")
         return Gallery(bands=bands, enrolled=[
             Template(bits=bits_from_hex(entry["bits"], bit_length),
                      identity=enrollment._string(entry, "identity"),
@@ -679,6 +681,16 @@ def gallery_doc(bit_length, payloads):
             "templates": [{"bits": payload, "identity": f"id{k % 2}",
                            "template_id": f"t{k}"}
                           for k, payload in enumerate(payloads)]}
+
+
+def edited(doc, k, key, value):
+    """doc with entry k's key set to value, or removed when value is None."""
+    entry = {**doc["templates"][k], key: value}
+    if value is None:
+        del entry[key]
+    templates = list(doc["templates"])
+    templates[k] = entry
+    return {**doc, "templates": templates}
 
 
 _FAULTS = [("bits", 7), ("bits", None), ("bits", ["b2"]),
@@ -740,6 +752,8 @@ class TestPersistence:
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1],
                         dtype=np.uint8)
         assert np.array_equal(bits_from_hex(bits_to_hex(bits), 12), bits)
+        empty = bits_from_hex("", 0)
+        assert empty.dtype == np.uint8 and empty.shape == (0,)
 
     def test_hex_padding_must_be_zero(self):
         bits = np.ones(12, dtype=np.uint8)
@@ -875,11 +889,20 @@ class TestPersistence:
 
     @settings(max_examples=300, deadline=None)
     @given(doc=gallery_documents())
-    # faults the bulk decode alone would miss: padding bits set, and a byte
-    # moved to the next payload; whitespace between byte pairs is valid
+    # faults a decode of the joined payloads would miss: padding bits set,
+    # and a byte moved to the next payload; whitespace between byte pairs is
+    # valid
     @example(doc=gallery_doc(12, ["b2d0", "b2df"]))
     @example(doc=gallery_doc(16, ["b2", "d0b2d0"]))
     @example(doc=gallery_doc(16, ["b2 d0", "B2D0"]))
+    # the first bad entry is reported, whatever the later entries hold; a
+    # repeated id only once every entry has decoded
+    @example(doc=edited(gallery_doc(12, ["b2d0", "zzd0"]), 0, "identity",
+                        ["id0"]))
+    @example(doc=edited(gallery_doc(12, ["b2df", "b2d0"]), 1, "template_id",
+                        None))
+    @example(doc=edited(gallery_doc(12, ["b2d0", "b2d0", "b2"]), 1,
+                        "template_id", "t0"))
     def test_loader_matches_scalar_loader(self, tmp_path_factory, doc):
         path = tmp_path_factory.mktemp("gallery") / "gallery.json"
         path.write_text(json.dumps(doc))
