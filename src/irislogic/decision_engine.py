@@ -150,18 +150,37 @@ def classify_many(scores, bands: ScoreBands) -> np.ndarray:
     outside = s[~((s >= 0.0) & (s <= 1.0))]
     if outside.size:
         raise ValueError(f"score must be in [0, 1], got {float(outside[0])!r}")
-    return np.select([s >= bands.p, s <= bands.n], [CODE_I, CODE_D], CODE_O)
+    return np.where(s >= bands.p, CODE_I,
+                    np.where(s <= bands.n, CODE_D, CODE_O))
 
 
-# decide()'s one lookup: response and output row per polarity and outcome
-_DECISIONS = {
-    polarity: {MODAL_I: (on_i, output_encoding(MODAL_I)),
-               MODAL_O: (Response.REPEAT, output_encoding(MODAL_O)),
-               MODAL_D: (on_d, output_encoding(MODAL_D))}
+# per polarity, psi code of the outcome -> (modal, response, output octal,
+# meaning): the one table decide() and _decide_many() build records from
+_ROWS = {
+    polarity: {int(psi(modal)): (modal, response, *output_encoding(modal)[::2])
+               for modal, response in [(MODAL_I, on_i),
+                                       (MODAL_O, Response.REPEAT),
+                                       (MODAL_D, on_d)]}
     for polarity, on_i, on_d in [
         (Polarity.POSITIVE, Response.ACCEPTED, Response.REJECTED),
         (Polarity.NEGATIVE, Response.REJECTED, Response.ACCEPTED)]
 }
+# classify()'s atomic modal value -> its key in _ROWS
+_CODES = {modal: code
+          for code, (modal, *_) in _ROWS[Polarity.POSITIVE].items()}
+
+
+def _record(claim: Claim, score: float, row: tuple) -> DecisionRecord:
+    """The DecisionRecord of a table row. It skips the frozen dataclass
+    __init__, whose per-field object.__setattr__ is most of a record's
+    cost, and writes the fields into the instance dict in declaration
+    order, as __init__ would; the instance stays frozen."""
+    record = object.__new__(DecisionRecord)
+    fields = vars(record)
+    fields["claim"], fields["score"] = claim, score
+    (fields["modal"], fields["response"], fields["output_octal"],
+     fields["output_meaning"]) = row
+    return record
 
 
 def decide(claim: Claim, score: float, bands: ScoreBands) -> DecisionRecord:
@@ -171,10 +190,17 @@ def decide(claim: Claim, score: float, bands: ScoreBands) -> DecisionRecord:
     the other way around; O always means try again.
     """
     modal = classify(score, bands)
-    response, (out_octal, _, meaning) = _DECISIONS[claim.polarity][modal]
-    return DecisionRecord(claim=claim, score=float(score), modal=modal,
-                          response=response, output_octal=out_octal,
-                          output_meaning=meaning)
+    return _record(claim, float(score), _ROWS[claim.polarity][_CODES[modal]])
+
+
+def _decide_many(claim: Claim, scores: np.ndarray,
+                 bands: ScoreBands) -> list[DecisionRecord]:
+    """decide() for each score of a 1-d float64 array, in order: records
+    equal to decide()'s, classified at once by classify_many."""
+    rows = _ROWS[claim.polarity]
+    codes = classify_many(scores, bands)
+    return [_record(claim, score, rows[code])
+            for score, code in zip(scores.tolist(), codes.tolist())]
 
 
 #: crisp value of an undecidable outcome

@@ -24,9 +24,10 @@ from .decision_engine import (
     DecisionRecord,
     Response,
     ScoreBands,
+    _decide_many,
     classify,  # unused here; kept bound for the benchmark's tracer
     classify_many,
-    decide,
+    decide,  # unused here; kept bound for the benchmark's tracer
     defuzzify,  # unused here; kept bound for the benchmark's tracer
     psi,
 )
@@ -105,8 +106,14 @@ def _require_bit_length(bit_length: int, other: int) -> None:
 def _scores(rows: np.ndarray, row: np.ndarray, bit_length: int) -> np.ndarray:
     """Similarity of one packed row to each row of a stacked matrix: exact
     agreement counts from XOR and popcount on the packed words (zero padding
-    bits never differ), over the bit length."""
-    return (bit_length - np.bitwise_count(rows ^ row).sum(axis=1)) / bit_length
+    bits never differ), over the bit length.
+
+    A row's word counts are summed by a float64 matrix-vector product. Each
+    partial sum is a whole number of at most bit_length, far below 2**53,
+    so it is exact in any summation order and the scores are bit for bit
+    those of an integer sum."""
+    counts = np.bitwise_count(rows ^ row).astype(np.float64)
+    return (bit_length - counts @ np.ones(rows.shape[1])) / bit_length
 
 
 def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
@@ -284,8 +291,9 @@ class VerifyResult:
 def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     """Score the probe against the whole gallery and adjudicate the claim.
 
-    The gallery is scored in one packed XOR/popcount row, with one decide()
-    per distinct score, so targets with equal scores share one record. The
+    The gallery is scored in one packed XOR/popcount row. The distinct
+    scores are adjudicated in one batch, each into the record decide()
+    would build, so targets with equal scores share one record. The
     claim record is the one for the best score among the claimed identity's
     templates, which are scored again by similarity(); a disagreement with
     the row is a RuntimeError. Raises ValueError when the claimed identity
@@ -302,7 +310,7 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
         raise RuntimeError("packed scores disagree with similarity() on the "
                            "claimed identity's templates")
     distinct, inverse = np.unique(scores, return_inverse=True)
-    decided = [decide(claim, s, gallery.bands) for s in distinct.tolist()]
+    decided = _decide_many(claim, distinct, gallery.bands)
     claim_record = decided[np.searchsorted(distinct, max(claimed_scores))]
     overall = Response.REPEAT if conflicts else claim_record.response
     return VerifyResult(

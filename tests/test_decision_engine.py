@@ -1,8 +1,10 @@
 """Banding, claim adjudication, output rows, and defuzzification."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irislogic.decision_engine import (
@@ -11,9 +13,11 @@ from irislogic.decision_engine import (
     CODE_O,
     UNDECIDABLE,
     Claim,
+    DecisionRecord,
     Polarity,
     Response,
     ScoreBands,
+    _decide_many,
     classify,
     classify_many,
     decide,
@@ -120,6 +124,48 @@ def test_decide_is_consistent_with_classify(score, polarity):
     expected_octal, _, expected_meaning = output_encoding(record.modal)
     assert record.output_octal == expected_octal
     assert record.output_meaning == expected_meaning
+
+
+# the band edges and their float neighbours, where >= and <= decide
+EDGES = [0.0, -0.0, 1.0, *(x for t in (BANDS.n, BANDS.p)
+                           for x in (np.nextafter(t, 0.0), t,
+                                     np.nextafter(t, 1.0)))]
+
+
+@given(st.lists(st.one_of(st.sampled_from(EDGES), scores)),
+       st.sampled_from(list(Polarity)))
+@example(EDGES, Polarity.POSITIVE)
+@example(EDGES, Polarity.NEGATIVE)
+def test_decide_many_builds_decides_records(batch, polarity):
+    claim = Claim(polarity=polarity, claimed_identity="u1")
+    records = _decide_many(claim, np.array(batch, dtype=np.float64), BANDS)
+    assert len(records) == len(batch)
+    for record, score in zip(records, batch):
+        want = decide(claim, float(score), BANDS)
+        # the same values through the dataclass __init__
+        constructed = DecisionRecord(**vars(want))
+        for got in (record, want):
+            # field by field, in declaration order, with the same types
+            assert [(k, type(v), v) for k, v in vars(got).items()] == \
+                [(k, type(v), v) for k, v in vars(constructed).items()]
+            assert (got, hash(got), repr(got), got.to_record()) == \
+                (want, hash(want), repr(want), want.to_record())
+            with pytest.raises(FrozenInstanceError):
+                got.score = 0.5
+
+
+@given(st.lists(scores),
+       st.sampled_from([-0.01, 1.01, -np.inf, np.inf, np.nan,
+                        float(np.nextafter(1.0, 2.0)),
+                        float(np.nextafter(0.0, -1.0))]),
+       st.lists(st.one_of(scores, st.just(np.nan))))
+def test_decide_many_refuses_as_decide_does(before, bad, after):
+    claim = Claim(polarity=Polarity.POSITIVE, claimed_identity="u1")
+    with pytest.raises(ValueError) as want:
+        decide(claim, bad, BANDS)
+    with pytest.raises(ValueError) as got:
+        _decide_many(claim, np.array(before + [bad] + after), BANDS)
+    assert str(got.value) == str(want.value)
 
 
 def test_record_line_format():

@@ -291,6 +291,32 @@ class TestPairScores:
             assert [col.size for col in pair_scores(templates)] == [0, 0, 0]
 
 
+class TestScores:
+    @pytest.mark.parametrize("bit_length",
+                             [1, 7, 63, 64, 65, 1024, 2048, 4097])
+    @pytest.mark.parametrize("count", [0, 1, 1001])
+    def test_matches_integer_row_sums(self, bit_length, count):
+        rng = np.random.default_rng(bit_length * 7919 + count)
+        bits = rng.integers(0, 2, (max(count, 1), bit_length), np.uint8)
+        # packed as load_gallery packs a file: whole uint64 words, zero pad
+        packed = np.zeros((len(bits), -(-bit_length // 64) * 8), np.uint8)
+        packed[:, :-(-bit_length // 8)] = np.packbits(bits, axis=1)
+        rows = packed.view(np.uint64)[:count]
+        # a random probe, row 0 itself and row 0's complement
+        for probe, first in [(rng.integers(0, 2, bit_length, np.uint8), None),
+                             (bits[0], 1.0), (1 - bits[0], 0.0)]:
+            packed_probe = tpl(probe).packed
+            got = enrollment._scores(rows, packed_probe, bit_length)
+            # the integer popcount sum the float64 product replaced
+            want = (bit_length - np.bitwise_count(rows ^ packed_probe)
+                    .sum(axis=1)) / bit_length
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == (count,)
+            assert got.tobytes() == want.tobytes()
+            if count and first is not None:
+                assert got[0] == first
+
+
 class TestPartition:
     def test_counts_and_tags(self):
         scores = [0.9, 0.8, 0.75, 0.7, 0.65, 0.6, 0.5, 0.2]
