@@ -5,17 +5,18 @@ or above t; the false reject rate is the fraction of genuine scores below t.
 Finite samples understate tail risk, so each empirical curve gets a
 pessimistic envelope built from two parts:
 
-* a one-sided binomial upper confidence bound (level 0.95) wherever
-  the per-threshold event count is positive, and
+* a one-sided binomial upper confidence bound at the fixed level 0.95
+  wherever the per-threshold event count is positive, and
 * a straight line fitted to log10(rate) against t over the sparse region
   (empirical rates between 1/N and 100/N), extrapolated past the data.
 
-Where counts exist the envelope is the larger of the two; beyond the data
-only the extrapolation extends the curve. Without a usable fit region the
-confidence bound stands alone and the result is flagged. A running-extremum
-pass then forces the accept side nonincreasing and the reject side
-nondecreasing, and values are clipped to [0, 1].
+Where counts exist the envelope is the larger of the two; where no event
+was seen the extrapolated line alone sets it. Without a usable fit region
+the confidence bound stands alone and the result is flagged. A
+running-extremum pass then forces the accept side nonincreasing and the
+reject side nondecreasing, and values are clipped to [0, 1].
 
+Curves are tabulated on one fixed grid, 0 to 1 in steps of 1e-4.
 Operating thresholds for a requested error rate are read off these
 envelopes: the candidate accept threshold is the lowest grid point whose
 envelope is below the target, the candidate reject threshold the highest.
@@ -96,26 +97,23 @@ class RateCurves:
         return float(self.pofr[self._index(t)])
 
 
-def binomial_upper_bound(successes, trials: int, confidence: float = 0.95):
-    """One-sided upper confidence bound for a binomial proportion.
+def binomial_upper_bound(successes, trials: int):
+    """One-sided 95% upper confidence bound for a binomial proportion.
 
     For k observed events in n trials, the smallest rate q such that seeing
-    at most k events has probability <= 1 - confidence under q: the
-    Clopper-Pearson limit, the `confidence` quantile of Beta(k + 1, n - k).
-    Vectorized over k; k = n, where that Beta is undefined, maps to 1.0.
+    at most k events has probability <= 0.05 under q: the Clopper-Pearson
+    limit, the 0.95 quantile of Beta(k + 1, n - k). Vectorized over k;
+    k = n, where that Beta is undefined, maps to 1.0.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
     k = np.asarray(successes, dtype=float)
     if (~((k >= 0) & (k <= trials))).any():
         raise ValueError("event counts must lie in [0, trials]")
     # imported here, not at the top: scipy adds about 300 modules to a
     # process, and of the package only this bound needs it
     from scipy.special import betaincinv
-    return np.where(k >= trials, 1.0,
-                    betaincinv(k + 1.0, trials - k, confidence))
+    return np.where(k >= trials, 1.0, betaincinv(k + 1.0, trials - k, 0.95))
 
 
 def fit_log_tail(grid, rates, trials: int) -> tuple[float, float] | None:
@@ -169,20 +167,9 @@ def pessimistic_envelope(grid, counts, trials: int,
     return np.clip(mono, 0.0, 1.0), fallback
 
 
-def empirical_curves(samples: LabeledScores,
-                     grid_step: float = 1e-4) -> RateCurves:
-    """Rate curves for labeled scores on the grid {0, grid_step, ..., 1}.
-
-    grid_step must lie in [1e-5, 0.01] and divide 1, so the grid holds at
-    most 100,001 points.
-    """
-    if not 1e-5 <= grid_step <= 0.01:
-        raise ValueError(
-            f"grid_step must be in [1e-05, 0.01], got {grid_step!r}")
-    cells = round(1.0 / grid_step)
-    if abs(cells * grid_step - 1.0) > 1e-9:
-        raise ValueError(f"grid_step must divide 1, got {grid_step!r}")
-    grid = np.linspace(0.0, 1.0, cells + 1)
+def empirical_curves(samples: LabeledScores) -> RateCurves:
+    """Rate curves for labeled scores on the grid {0, 0.0001, ..., 1}."""
+    grid = np.linspace(0.0, 1.0, 10_001)
     imposter = np.sort(samples.imposter)
     genuine = np.sort(samples.genuine)
     accept_counts = imposter.size - np.searchsorted(imposter, grid, side="left")

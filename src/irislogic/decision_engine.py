@@ -104,9 +104,11 @@ def classify(score: float, bands: ScoreBands) -> ModalString:
     """Band membership of a score; the outer bands are closed.
 
     Returns the atomic modal value I (score >= p), D (score <= n) or O.
+    A numpy scalar is compared as a float64, as classify_many compares it.
     """
     if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must be in [0, 1], got {score!r}")
+        raise ValueError(f"score must be in [0, 1], got {float(score)!r}")
+    score = float(score)
     if score >= bands.p:
         return MODAL_I
     if score <= bands.n:

@@ -193,7 +193,7 @@ def test_criterion_08_calibration_properties():
         start = time.perf_counter()
         target = 1e-6
         calibration = _population_scores(801)
-        curves = empirical_curves(calibration, grid_step=1e-4)
+        curves = empirical_curves(calibration)
         bands = derive_bands(curves, target)
         assert bands.n < bands.p
         # envelopes are pessimistic, empirical curves monotone
@@ -202,7 +202,7 @@ def test_criterion_08_calibration_properties():
         assert (np.diff(curves.far) <= 0).all()
         assert (np.diff(curves.frr) >= 0).all()
         # held-out pairs from a second seed stay under 10 x target
-        holdout = empirical_curves(_population_scores(802), grid_step=1e-4)
+        holdout = empirical_curves(_population_scores(802))
         assert holdout.far_at(bands.p) < 10 * target
         assert holdout.frr_at(bands.n) < 10 * target
         assert time.perf_counter() - start < 60.0

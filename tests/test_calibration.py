@@ -72,7 +72,7 @@ class TestEmpiricalCounting:
     """FAR counts imposters at or above t, FRR genuine strictly below."""
 
     def test_rates_at_exact_thresholds(self):
-        curves = empirical_curves(SMALL, grid_step=0.01)
+        curves = empirical_curves(SMALL)
         assert curves.far_at(0.0) == 1.0
         assert curves.frr_at(0.0) == 0.0
         assert curves.far_at(0.4) == 0.25   # 0.4 itself still counts
@@ -83,35 +83,21 @@ class TestEmpiricalCounting:
         assert curves.frr_at(1.0) == 1.0
 
     def test_grid_shape(self):
-        curves = empirical_curves(SMALL, grid_step=0.01)
-        assert curves.grid.size == 101
+        curves = empirical_curves(SMALL)
+        assert curves.grid.size == 10_001
         assert curves.grid[0] == 0.0 and curves.grid[-1] == 1.0
         for arr in (curves.far, curves.frr, curves.pofa, curves.pofr):
-            assert arr.size == 101
+            assert arr.size == 10_001
 
     def test_off_grid_threshold_rejected(self):
-        curves = empirical_curves(SMALL, grid_step=0.01)
+        curves = empirical_curves(SMALL)
         with pytest.raises(ValueError):
-            curves.far_at(0.333)
+            curves.far_at(0.33335)
         # NaN compares false with everything, so it must not pass as on-grid
         for at in (curves.far_at, curves.frr_at, curves.pofa_at,
                    curves.pofr_at):
             with pytest.raises(ValueError, match="not on the curve grid"):
                 at(float("nan"))
-
-    def test_grid_step_validation(self, monkeypatch):
-        linspace = np.linspace
-
-        def bounded_linspace(start, stop, num, *args, **kwargs):
-            # a step below the floor must be refused before any allocation
-            assert num <= 10 ** 6, f"asked for a {num}-point grid"
-            return linspace(start, stop, num, *args, **kwargs)
-
-        monkeypatch.setattr(np, "linspace", bounded_linspace)
-        for step in (0.02, 0.0, 0.003, 1e-6, 1e-9):
-            with pytest.raises(ValueError):
-                empirical_curves(SMALL, grid_step=step)
-
 
 class TestBinomialUpperBound:
     @staticmethod
@@ -156,8 +142,7 @@ class TestBinomialUpperBound:
         assert (bounds[:-1] > ks[:-1] / 100).all()
         assert bounds[-1] == 1.0
 
-    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
-    def test_bitwise_equal_to_scipy_stats(self, confidence):
+    def test_bitwise_equal_to_scipy_stats(self):
         # scipy.stats is the oracle here and nowhere else: the package calls
         # the special function behind beta.ppf directly
         from scipy import stats
@@ -169,9 +154,8 @@ class TestBinomialUpperBound:
         for k, n in cases:
             with np.errstate(invalid="ignore"):
                 expected = np.where(
-                    k >= n, 1.0, stats.beta.ppf(confidence, k + 1, n - k))
-            assert np.array_equal(binomial_upper_bound(k, n, confidence),
-                                  expected), n
+                    k >= n, 1.0, stats.beta.ppf(0.95, k + 1, n - k))
+            assert np.array_equal(binomial_upper_bound(k, n), expected), n
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -182,8 +166,6 @@ class TestBinomialUpperBound:
             binomial_upper_bound(11, 10)
         with pytest.raises(ValueError, match="event counts must lie in"):
             binomial_upper_bound(np.nan, 10)
-        with pytest.raises(ValueError):
-            binomial_upper_bound(1, 10, confidence=1.0)
 
 
 class TestLogTailFit:
@@ -218,12 +200,12 @@ class TestPessimisticEnvelope:
                                  "both")
 
     def test_never_below_empirical(self):
-        curves = empirical_curves(SMALL, grid_step=0.01)
+        curves = empirical_curves(SMALL)
         assert (curves.pofa >= curves.far - 1e-15).all()
         assert (curves.pofr >= curves.frr - 1e-15).all()
 
     def test_monotone_directions(self):
-        curves = empirical_curves(SMALL, grid_step=0.01)
+        curves = empirical_curves(SMALL)
         assert (np.diff(curves.pofa) <= 1e-15).all()
         assert (np.diff(curves.pofr) >= -1e-15).all()
 
@@ -231,7 +213,7 @@ class TestPessimisticEnvelope:
         rng = np.random.default_rng(11)
         samples = make_samples(np.clip(rng.normal(0.7, 0.05, 400), 0, 1),
                                np.clip(rng.normal(0.3, 0.05, 400), 0, 1))
-        curves = empirical_curves(samples, grid_step=0.01)
+        curves = empirical_curves(samples)
         imp = np.sort(samples.imposter)
         counts = imp.size - np.searchsorted(imp, curves.grid, side="left")
         bound = binomial_upper_bound(counts, imp.size)
@@ -240,7 +222,7 @@ class TestPessimisticEnvelope:
 
     def test_constant_scores_fall_back_to_bound_alone(self):
         samples = make_samples([0.9] * 200, [0.1] * 200)
-        curves = empirical_curves(samples, grid_step=0.01)
+        curves = empirical_curves(samples)
         assert curves.pofa_fallback
         assert curves.pofr_fallback
         # bound-only envelope: flat at the k=0 bound beyond the data
@@ -251,7 +233,7 @@ class TestPessimisticEnvelope:
         rng = np.random.default_rng(7)
         samples = make_samples(np.clip(rng.normal(0.75, 0.06, 2000), 0, 1),
                                np.clip(rng.normal(0.25, 0.06, 2000), 0, 1))
-        curves = empirical_curves(samples, grid_step=0.001)
+        curves = empirical_curves(samples)
         assert not curves.pofa_fallback
         assert not curves.pofr_fallback
 
@@ -259,7 +241,7 @@ class TestPessimisticEnvelope:
     @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=50),
            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=50))
     def test_envelope_invariants_hold_for_any_scores(self, gen, imp):
-        curves = empirical_curves(make_samples(gen, imp), grid_step=0.01)
+        curves = empirical_curves(make_samples(gen, imp))
         assert (curves.pofa >= curves.far - 1e-15).all()
         assert (curves.pofr >= curves.frr - 1e-15).all()
         assert (np.diff(curves.pofa) <= 1e-15).all()
@@ -331,7 +313,7 @@ class TestDeriveBands:
         identity = np.array([t.identity for t in templates])
         genuine = identity[i] == identity[j]
         samples = make_samples(scores[genuine], scores[~genuine])
-        curves = empirical_curves(samples, grid_step=1e-3)
+        curves = empirical_curves(samples)
         bands = derive_bands(curves, 1e-3)
         assert bands.n < bands.p
         assert curves.pofa_at(bands.p) < 1e-3
@@ -363,6 +345,42 @@ class TestDeriveBands:
                 target * np.count_nonzero(genuine)
 
 
+    @pytest.mark.xfail(strict=True, reason="envelopes are not pessimistic "
+                       "where no event was seen (ROADMAP item 1)")
+    @pytest.mark.parametrize("population, flip, seeds, target", [
+        ((20, 5, 64), 0.2, (5, 6, 8, 10, 17), 1e-4),
+        ((60, 4, 256), 0.15, (3, 6, 9, 14), 1e-6),
+    ], ids=["20x5x64", "60x4x256"])
+    def test_derived_bands_meet_target_on_the_true_distribution(
+            self, population, flip, seeds, target):
+        # simulate's marginals are exact: imposter agreements follow
+        # Bin(L, 1/2), genuine ones Bin(L, 1 - 2f(1 - f)); scipy.stats is
+        # the oracle, read through the library's own >= on k / L
+        from scipy import stats
+        bits = population[2]
+        k = np.arange(bits + 1)
+        score = k / bits
+        imposter = stats.binom.pmf(k, bits, 0.5)
+        genuine = stats.binom.pmf(k, bits, 1.0 - 2.0 * flip * (1.0 - flip))
+        missed = []
+        for seed in seeds:
+            templates = generate_population(*population, flip, seed=seed)
+            i, j, scores = pair_scores(templates)
+            identity = np.array([t.identity for t in templates])
+            same = identity[i] == identity[j]
+            curves = empirical_curves(make_samples(scores[same],
+                                                   scores[~same]))
+            try:
+                bands = derive_bands(curves, target)
+            except UnachievableTargetError:
+                continue
+            far = imposter[score >= bands.p].sum()
+            frr = genuine[~(score >= bands.n)].sum()
+            if not (far < target and frr < target):
+                missed.append((seed, far, frr))
+        assert not missed
+
+
 class TestComfortReport:
     def test_reference_operating_point_rates(self):
         # reference rates at the published thresholds: discomfort splits
@@ -388,7 +406,7 @@ class TestComfortReport:
         genuine = np.round(np.clip(rng.normal(0.7, 0.1, 500), 0, 1), 3)
         imposter = np.round(np.clip(rng.normal(0.35, 0.1, 800), 0, 1), 3)
         samples = make_samples(genuine, imposter)
-        curves = empirical_curves(samples, grid_step=0.01)
+        curves = empirical_curves(samples)
         bands = ScoreBands(n=0.4, p=0.62, target_rate=1e-6)
         report = comfort_report(curves, bands)
         assert report.genuine_discomfort == np.mean(genuine < bands.p)
@@ -401,9 +419,9 @@ class TestComfortReport:
             genuine < bands.n)
 
     def test_off_grid_bands_rejected(self):
-        curves = empirical_curves(SMALL, grid_step=0.01)
+        curves = empirical_curves(SMALL)
         with pytest.raises(ValueError):
-            comfort_report(curves, ScoreBands(n=0.333, p=0.62,
+            comfort_report(curves, ScoreBands(n=0.33335, p=0.62,
                                               target_rate=1e-6))
 
 
@@ -575,11 +593,11 @@ class TestFileFormats:
 
     def test_curves_csv_layout(self, tmp_path):
         path = tmp_path / "curves.csv"
-        curves = empirical_curves(SMALL, grid_step=0.01)
+        curves = empirical_curves(SMALL)
         write_curves_csv(curves, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,far,frr,pofa,pofr"
-        assert len(lines) == 102
+        assert len(lines) == 10_002
         assert lines[1].startswith("0.0,1.0,0.0,")
         # byte for byte what csv.writer makes of the float reprs
         expected = io.StringIO()
@@ -646,7 +664,7 @@ class TestAtomicWrites:
         self.assert_untouched(path)
 
     def test_curves_writer_failing_mid_write(self, tmp_path):
-        curves = empirical_curves(SMALL, grid_step=0.01)
+        curves = empirical_curves(SMALL)
         broken = RateCurves(grid=curves.grid, far=curves.far[:50],
                             frr=curves.frr, pofa=curves.pofa,
                             pofr=curves.pofr)

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from irislogic.decision_engine import (
@@ -79,6 +79,8 @@ def test_classify_rejects_out_of_range():
         classify(-0.01, BANDS)
     with pytest.raises(ValueError):
         classify(1.01, BANDS)
+    with pytest.raises(TypeError):
+        classify("0.5", BANDS)
     for bad in (-0.01, 1.01, float("nan")):
         with pytest.raises(ValueError, match="score must be in"):
             classify_many([0.5, bad], BANDS)
@@ -154,12 +156,17 @@ def test_decide_many_builds_decides_records(batch, polarity):
                 got.score = 0.5
 
 
-@given(st.lists(scores),
+SCALAR_TYPES = [np.float16, np.float32, np.float64, float]
+
+
+@given(st.lists(scores), st.sampled_from(SCALAR_TYPES),
        st.sampled_from([-0.01, 1.01, -np.inf, np.inf, np.nan,
                         float(np.nextafter(1.0, 2.0)),
                         float(np.nextafter(0.0, -1.0))]),
        st.lists(st.one_of(scores, st.just(np.nan))))
-def test_decide_many_refuses_as_decide_does(before, bad, after):
+def test_decide_many_refuses_as_decide_does(before, kind, bad, after):
+    bad = kind(bad)
+    assume(not 0.0 <= bad <= 1.0)   # a float16 rounds 1 + ulp back to 1
     claim = Claim(polarity=Polarity.POSITIVE, claimed_identity="u1")
     with pytest.raises(ValueError) as want:
         decide(claim, bad, BANDS)
@@ -250,3 +257,27 @@ def test_defuzzify():
     for composite in (ModalString("IO"), ModalString("")):
         with pytest.raises(ValueError):
             defuzzify(composite)
+
+
+# bands a calibration derived; a float32 or float16 score near either edge
+# differs from its float64 value, so only a float64 comparison agrees with
+# the batch path
+NARROW = ScoreBands(n=0.6137, p=0.6329, target_rate=1e-4)
+NARROW_EDGES = [float(x) for t in (NARROW.n, NARROW.p)
+                for x in (t, np.nextafter(np.float32(t), np.float32(0.0)),
+                          np.nextafter(np.float32(t), np.float32(1.0)))]
+
+
+@given(st.sampled_from(SCALAR_TYPES),
+       st.one_of(st.sampled_from(NARROW_EDGES), scores),
+       st.sampled_from(list(Polarity)))
+@example(np.float32, NARROW.p, Polarity.POSITIVE)
+@example(np.float16, NARROW.p, Polarity.POSITIVE)
+def test_scalar_decide_agrees_with_batch(kind, value, polarity):
+    score = kind(value)
+    claim = Claim(polarity=polarity, claimed_identity="u1")
+    want = decide(claim, score, NARROW)
+    [got] = _decide_many(claim, np.array([score], dtype=np.float64), NARROW)
+    assert [(k, type(v), v) for k, v in vars(got).items()] == \
+        [(k, type(v), v) for k, v in vars(want).items()]
+    assert got.to_record() == want.to_record()
