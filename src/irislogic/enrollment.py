@@ -54,8 +54,7 @@ class Template:
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("bits must be a non-empty 1-d array")
         # a cast from other dtypes would wrap 256 to 0 and cut 0.9 to 0
-        if not (raw.dtype in (np.uint8, np.bool_) and raw.max() <= 1
-                or ((raw == 0) | (raw == 1)).all()):
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("bits must contain only 0 and 1")
         arr = raw.astype(np.uint8)
         arr.setflags(write=False)
@@ -198,17 +197,17 @@ class Gallery:
     bands: ScoreBands
     enrolled: tuple[Template, ...] = ()
     # capacity-doubling; rows past len(enrolled) are unused
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(
+        init=False, repr=False, compare=False,
+        default_factory=lambda: np.empty((0, 0), np.uint64))
     # a dict for its key order, which is row order: ids are never removed
-    _ids: dict[str, None] = field(init=False, repr=False, compare=False)
-    _members: dict[str, list[int]] = field(init=False, repr=False,
-                                           compare=False)
+    _ids: dict[str, None] = field(init=False, repr=False, compare=False,
+                                  default_factory=dict)
+    _members: dict[str, list[int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         enrolled = tuple(self.enrolled)
-        for name, value in (("_rows", np.empty((0, 0), np.uint64)),
-                            ("_ids", {}), ("_members", {})):
-            object.__setattr__(self, name, value)
         for t in enrolled:
             _require_bit_length(enrolled[0].bits.size, t.bits.size)
             if t.template_id in self._ids:
@@ -386,7 +385,7 @@ def _payload(hex_string: str, bit_length: int) -> bytes:
 def bits_from_hex(hex_string: str, bit_length: int) -> np.ndarray:
     """Unpack exactly ceil(bit_length / 8) bytes; padding bits must be 0."""
     raw = np.frombuffer(_payload(hex_string, bit_length), np.uint8)
-    return np.unpackbits(raw)[:bit_length].copy()
+    return np.unpackbits(raw, count=bit_length)
 
 
 def _string(entry, key: str) -> str:
@@ -456,6 +455,10 @@ def load_gallery(path) -> Gallery:
         if type(entries) is not list:
             raise TypeError("templates is not a list")
         if not entries:
+            # save_gallery writes null for a gallery with no templates
+            if bit_length is not None:
+                raise TypeError(f"bit_length {json.dumps(bit_length)} is "
+                                f"given for no templates")
             return Gallery(bands=bands)
         payloads, identities, template_ids = [], [], []
         for entry in entries:

@@ -95,6 +95,18 @@ class TestAlgebraCommand:
         assert len(check_lines) == 19
         assert all(l.endswith("result=ok") for l in check_lines)
 
+    def test_verify_reports_a_failed_check(self, run, monkeypatch):
+        checks = cli.octal_algebra.verification_checks
+        monkeypatch.setattr(cli.octal_algebra, "verification_checks",
+                            lambda: [*checks(), ("injected", 1, False)])
+        code, out, err = run(["algebra", "verify"])
+        assert code == 1
+        lines = out.splitlines()
+        assert "check=injected cases=1 result=FAIL" in lines
+        assert lines[-1] == "result=fail"
+        assert err == ("error=algebra_check_failed detail=see check lines "
+                       "above\n")
+
 
 class TestSimulateCommand:
     def test_output_rows(self, run, tmp_path):
@@ -552,6 +564,24 @@ class TestEnrollCommand:
                        "from the gallery's bit length 12\n")
         assert gallery.read_bytes() == before
 
+    @pytest.mark.parametrize("flag", [[], ["--bit-length", "16"]])
+    def test_empty_gallery_file_with_a_bit_length(self, run, tmp_path,
+                                                  flag):
+        # save_gallery writes null for a gallery with no templates
+        gallery = tmp_path / "gallery.json"
+        gallery.write_text(json.dumps({
+            "bands": {"n": "0.6", "p": "0.75", "target_rate": "1e-06"},
+            "bit_length": 12, "templates": []}))
+        before = gallery.read_bytes()
+        code, out, err = run(["enroll", "--gallery", str(gallery),
+                              "--identity", "a", "--template-id", "a1",
+                              "--bits-hex", "b2d0"] + flag)
+        assert (code, out) == (2, "")
+        assert err == (f"error=invalid_input detail={gallery}: not a gallery "
+                       f"document (bit_length 12 is given for no "
+                       f"templates)\n")
+        assert gallery.read_bytes() == before
+
     def test_conflicting_id_with_a_line_break(self, run, tmp_path,
                                               base_bits):
         # the gallery file may hold such an id; the error line escapes it
@@ -966,8 +996,8 @@ _BAD_GALLERY = st.one_of(
     _BAD_BANDS.map(lambda bands: _replaced(_GALLERY, "bands", bands)),
     st.sampled_from([0, -12, "12", 12.0, True, None, [12], 4, 17]).map(
         lambda n: _replaced(_GALLERY, "bit_length", n)),
-    st.sampled_from([None, 5, "x", "", {}, [None], [[]], [{}], {"a": 1},
-                     [_TEMPLATE, _TEMPLATE]]).map(
+    st.sampled_from([None, 5, "x", "", {}, [], [None], [[]], [{}],
+                     {"a": 1}, [_TEMPLATE, _TEMPLATE]]).map(
         lambda t: _replaced(_GALLERY, "templates", t)),
     _BAD_TEMPLATE.map(lambda t: _replaced(_GALLERY, "templates", [t])),
     st.sampled_from(list(_GALLERY)).map(
@@ -1076,6 +1106,9 @@ class TestNoInputEndsInATraceback:
     @given(_BAD_INPUTS)
     # templates that are not a list once loaded as an empty gallery
     @example(("bad", json.dumps(_replaced(_GALLERY, "templates", "")).encode(),
+              _READERS["gallery"][0]))
+    # a bit length with no templates, which save_gallery never writes
+    @example(("bad", json.dumps(_replaced(_GALLERY, "templates", [])).encode(),
               _READERS["gallery"][0]))
     def test_one_error_line(self, case):
         bad, contents, argv = case

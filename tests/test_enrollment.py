@@ -123,6 +123,24 @@ def base_bits():
     return np.random.default_rng(99).integers(0, 2, 1000, dtype=np.uint8)
 
 
+@st.composite
+def bit_inputs(draw):
+    """A 1-d array of uint8, bool, int64 or float64, or a Python list, that
+    holds only 0s and 1s or any values of its type."""
+    kind = draw(st.sampled_from(["uint8", "bool", "int64", "float64",
+                                 "list"]))
+    values = {"uint8": st.integers(0, 255), "bool": st.booleans(),
+              "int64": st.integers(-2 ** 63, 2 ** 63 - 1),
+              "float64": st.floats(),
+              "list": st.one_of(st.booleans(), st.integers(-300, 300),
+                                st.floats())}[kind]
+    if draw(st.booleans()):
+        values = st.sampled_from([0, 1, 0.0, 1.0, False, True]
+                                 if kind == "list" else [0, 1])
+    items = draw(st.lists(values, max_size=130))
+    return items if kind == "list" else np.array(items, dtype=kind)
+
+
 class TestTemplate:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -136,12 +154,43 @@ class TestTemplate:
                      identity="x", template_id="x_1")
         # values a uint8 cast would wrap or truncate into 0 or 1
         for bad in (np.array([256, 0]), np.array([-1, 0]), [0.9, 1],
-                    [1, 0, 1.5], [np.nan, 1]):
+                    [1, 0, 1.5], [np.nan, 1],
+                    np.array([2, 0], dtype=np.uint8),
+                    np.array([255], dtype=np.uint8)):
             with pytest.raises(ValueError, match="only 0 and 1"):
                 Template(bits=bad, identity="x", template_id="x_1")
         for ok in ([True, False], np.array([True, False]), [1.0, 0.0]):
             t = Template(bits=ok, identity="x", template_id="x_1")
             assert t.bits.dtype == np.uint8 and t.bits.tolist() == [1, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=bit_inputs())
+    def test_one_bit_rule_matches_the_two_way_check(self, bits):
+        def two_way(bits):
+            # a uint8 or bool shortcut beside the general 0/1 test, then
+            # Template's packing
+            raw = np.asarray(bits)
+            if raw.ndim != 1 or raw.size == 0:
+                raise ValueError("bits must be a non-empty 1-d array")
+            if not (raw.dtype in (np.uint8, np.bool_) and raw.max() <= 1
+                    or ((raw == 0) | (raw == 1)).all()):
+                raise ValueError("bits must contain only 0 and 1")
+            arr = raw.astype(np.uint8)
+            packed = np.zeros(-(-arr.size // 64) * 8, dtype=np.uint8)
+            packed[:-(-arr.size // 8)] = np.packbits(arr)
+            return arr.dtype, arr.tobytes(), packed.tobytes()
+
+        def one_rule(bits):
+            t = Template(bits=bits, identity="x", template_id="x_1")
+            return t.bits.dtype, t.bits.tobytes(), t.packed.tobytes()
+
+        def outcome(make):
+            try:
+                return make(bits)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(one_rule) == outcome(two_way)
 
     def test_bits_coerced_to_uint8(self):
         t = tpl([0, 1, 1, 0])
@@ -672,6 +721,9 @@ def scalar_load_gallery(path):
                             f"positive integer")
         if type(doc["templates"]) is not list:
             raise TypeError("templates is not a list")
+        if bit_length is not None and not doc["templates"]:
+            raise TypeError(f"bit_length {json.dumps(bit_length)} is given "
+                            f"for no templates")
         return Gallery(bands=bands, enrolled=[
             Template(bits=bits_from_hex(entry["bits"], bit_length),
                      identity=enrollment._string(entry, "identity"),
@@ -781,6 +833,18 @@ class TestPersistence:
         empty = bits_from_hex("", 0)
         assert empty.dtype == np.uint8 and empty.shape == (0,)
 
+    def test_bits_from_hex_matches_slice_and_copy(self):
+        rng = np.random.default_rng(45)
+        for bit_length in range(46):
+            payload = bits_to_hex(rng.integers(0, 2, bit_length,
+                                               dtype=np.uint8))
+            got = bits_from_hex(payload, bit_length)
+            want = np.unpackbits(np.frombuffer(
+                bytes.fromhex(payload), np.uint8))[:bit_length].copy()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.base is None
+
     def test_hex_padding_must_be_zero(self):
         bits = np.ones(12, dtype=np.uint8)
         payload = bits_to_hex(np.ones(16, dtype=np.uint8))
@@ -886,6 +950,12 @@ class TestPersistence:
         assert json.loads(path.read_text())["bit_length"] is None
         loaded = load_gallery(path)
         assert loaded.enrolled == () and loaded.bit_length() is None
+        path.write_text(json.dumps(gallery_doc(12, [])))
+        with pytest.raises(ValueError) as info:
+            load_gallery(path)
+        assert str(info.value) == (f"{path}: not a gallery document "
+                                   f"(bit_length 12 is given for no "
+                                   f"templates)")
 
     def test_duplicate_template_id_rejected(self, tmp_path):
         path = tmp_path / "gallery.json"
@@ -929,6 +999,8 @@ class TestPersistence:
                         None))
     @example(doc=edited(gallery_doc(12, ["b2d0", "b2d0", "b2"]), 1,
                         "template_id", "t0"))
+    # a bit length with no templates, which save_gallery never writes
+    @example(doc=gallery_doc(12, []))
     def test_loader_matches_scalar_loader(self, tmp_path_factory, doc):
         path = tmp_path_factory.mktemp("gallery") / "gallery.json"
         path.write_text(json.dumps(doc))
