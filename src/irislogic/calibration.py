@@ -260,7 +260,7 @@ def comfort_report(curves: RateCurves, bands: ScoreBands) -> ComfortReport:
 
 @contextmanager
 def atomic_write(path):
-    """Open a text file that replaces path once the with-block succeeds.
+    """Open a UTF-8 text file that replaces path once the with-block succeeds.
 
     The text goes to a temporary file in path's directory, which os.replace
     moves over path when the with-block finishes. If the block raises, the
@@ -277,7 +277,7 @@ def atomic_write(path):
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
     path = os.path.realpath(path)
@@ -287,7 +287,7 @@ def atomic_write(path):
     try:
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
-        with open(fd, "w", newline="") as fh:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -298,10 +298,10 @@ def atomic_write(path):
 
 @contextmanager
 def _reading(path, kind: str):
-    """path opened as text; any error in the block but OSError, whose
+    """path opened as UTF-8 text; any error in the block but OSError, whose
     message names the file already, becomes a ValueError naming it."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             yield fh
     except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a {kind} document ({exc})") from None

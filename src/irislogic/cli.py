@@ -84,10 +84,13 @@ def cmd_algebra(args) -> int:
         return EXIT_OK
     # args.what == "verify"
     all_ok = True
+    lines = []
     for name, cases, ok in octal_algebra.verification_checks():
-        print(f"check={name} cases={cases} result={'ok' if ok else 'FAIL'}")
+        lines.append(f"check={name} cases={cases} "
+                     f"result={'ok' if ok else 'FAIL'}")
         all_ok = all_ok and ok
-    print(f"result={'pass' if all_ok else 'fail'}")
+    lines.append(f"result={'pass' if all_ok else 'fail'}")
+    _emit("\n".join(lines) + "\n", args.out)
     if not all_ok:
         return _fail("algebra_check_failed", "see check lines above",
                      EXIT_FAILURE)

@@ -5,6 +5,8 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -496,6 +498,33 @@ class TestFileFormats:
         samples = read_scores_csv(path)
         assert samples.genuine.tolist() == [0.875]
         assert sorted(samples.imposter.tolist()) == [0.1, 0.3212890625]
+
+    def test_scores_csv_is_utf8_under_the_c_locale(self, tmp_path):
+        # under the C locale a bare open() reads and writes ASCII; the id is
+        # built with chr, as a literal in -c source would be surrogateescaped
+        script = "\n".join([
+            "import sys",
+            "from irislogic.calibration import read_scores_csv, "
+            "write_scores_csv",
+            "path = sys.argv[1]",
+            "write_scores_csv(path, ['Jos' + chr(233) + '_1', 'b', 'c'],",
+            "                 [0, 0], [1, 2], [True, False], [0.875, 0.1])",
+            "samples = read_scores_csv(path)",
+            "assert samples.genuine.tolist() == [0.875], samples",
+            "assert samples.imposter.tolist() == [0.1], samples",
+        ])
+        src = os.path.dirname(os.path.dirname(calibration.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        path = tmp_path / "s.csv"
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert path.read_bytes() == ("pair_id,label,score\n"
+                                     "José_1:b,genuine,0.875\n"
+                                     "José_1:c,imposter,0.1\n"
+                                     ).encode("utf-8")
 
     def test_scores_written_as_repr_across_blocks(self, tmp_path,
                                                   monkeypatch):

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -51,6 +52,22 @@ def scores_csv(tmp_path, run):
     return path
 
 
+@pytest.fixture(params=[False, True], ids=["stdout", "out_file"])
+def run_verify(request, run, tmp_path):
+    """Runs `algebra verify`, with --out into tmp_path in the out_file
+    case, where stdout must stay empty; returns the exit code, the check
+    lines and stderr."""
+    def _run():
+        if not request.param:
+            return run(["algebra", "verify"])
+        path = tmp_path / "verify.txt"
+        code, out, err = run(["algebra", "verify", "--out", str(path)])
+        assert out == ""
+        return code, path.read_text(encoding="utf-8"), err
+
+    return _run
+
+
 class TestAlgebraCommand:
     def test_product_table(self, run):
         code, out, _ = run(["algebra", "table"])
@@ -86,8 +103,8 @@ class TestAlgebraCommand:
         assert out.splitlines() == [",".join(str(x) for x in c)
                                     for c in CHAINS]
 
-    def test_verify_reports_every_check(self, run):
-        code, out, _ = run(["algebra", "verify"])
+    def test_verify_reports_every_check(self, run_verify):
+        code, out, _ = run_verify()
         assert code == 0
         lines = out.splitlines()
         assert lines[-1] == "result=pass"
@@ -95,11 +112,11 @@ class TestAlgebraCommand:
         assert len(check_lines) == 19
         assert all(l.endswith("result=ok") for l in check_lines)
 
-    def test_verify_reports_a_failed_check(self, run, monkeypatch):
+    def test_verify_reports_a_failed_check(self, run_verify, monkeypatch):
         checks = cli.octal_algebra.verification_checks
         monkeypatch.setattr(cli.octal_algebra, "verification_checks",
                             lambda: [*checks(), ("injected", 1, False)])
-        code, out, err = run(["algebra", "verify"])
+        code, out, err = run_verify()
         assert code == 1
         lines = out.splitlines()
         assert "check=injected cases=1 result=FAIL" in lines
@@ -851,6 +868,29 @@ class TestTopLevel:
         code, out, _ = run(["--help"])
         assert code == 0
         assert "algebra" in out
+
+    def test_console_script_smoke(self, tmp_path):
+        # cli_smoke.sh as CI runs it, with shims standing in for the
+        # installed console script and for python
+        shims = tmp_path / "bin"
+        shims.mkdir()
+        python = shlex.quote(sys.executable)
+        for name, args in [
+                ("irislogic", ' -c "from irislogic.cli import run; run()"'),
+                ("python", "")]:
+            (shims / name).write_text(f'#!/bin/sh\nexec {python}{args} "$@"\n')
+            (shims / name).chmod(0o755)
+        work = tmp_path / "work"
+        work.mkdir()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            irislogic.__file__)))
+        env = dict(os.environ, PYTHONPATH=src,
+                   PATH=os.pathsep.join([str(shims), os.environ["PATH"]]))
+        proc = subprocess.run(
+            ["bash", str(Path(__file__).with_name("cli_smoke.sh"))],
+            cwd=work, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestOneParser:
