@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
 import stat
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 
@@ -309,44 +309,162 @@ def _reading(path, kind: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+_SCAN_BYTES = 1 << 18
+_SEPARATORS = (ord(","), ord("\n"), ord("\r"))
+#: labels are read as Latin-1 bytes, one wider than the longest label, so
+#: a longer label, cut to that width, still differs from both
+_ROW = np.dtype([("label", "S9"), ("score", "f8")])
+_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None}
+
+
+def _line_of(path, offset: int) -> int:
+    """The 1-based line that holds path's character at offset, where CR, LF
+    and CRLF each end a line, as csv.reader counts lines."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read(offset + 1)
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    return 1 + ends - text.endswith(("\r", "\n"))
+
+
+def _scan_records(path, need: int) -> int:
+    """Check path's CSV layout with array operations; return its record count.
+
+    Splits the text into records and fields as csv.reader does, without
+    building them: a double quote opens a quoted field only at the start of
+    a field, "" inside one is a literal quote, and outside quotes a comma
+    ends a field and CR, LF or CRLF a record; empty records are skipped and
+    not counted. Raises ValueError naming the line for a record with fewer
+    than need fields, a field longer than csv.field_size_limit(), or a
+    control character numpy would read differently from Python: NUL, which
+    a fixed-width label loses at its end, or U+001C..U+001F, which numpy's
+    float parser strips from a score and float() does not. Blocks of about
+    _SCAN_BYTES end at a line feed, so no quote run or UTF-8 sequence spans
+    two blocks.
+    """
+    limit = csv.field_size_limit()
+    base = 0       # characters in the blocks before this one
+    inside = 0     # 1 while in a quoted field
+    prev = -1      # offset of the last separator outside quotes
+    dropped = 0    # quote characters that are not field content, so far
+    prev_dropped = 0   # the same, up to prev
+    commas = 0     # separating commas since the last record ended
+    records = 0
+    faults = []
+    with open(path, "rb") as raw:
+        while not faults and (block := raw.read(_SCAN_BYTES)
+                              + raw.readline()):
+            a = np.frombuffer(block, dtype=np.uint8)
+            if a.max() >= 0x80:   # keep one byte per character
+                a = a[(a & 0xC0) != 0x80]
+            at = np.flatnonzero(a <= ord(","))   # every byte looked at below
+            c = a[at]
+            control = at[(c == 0) | ((c >= 0x1C) & (c <= 0x1F))]
+            quotes = at[c == ord('"')]
+            is_sep = np.isin(c, _SEPARATORS)
+            sep, ends = at[is_sep], c[is_sep] != ord(",")
+            sep_dropped = np.full(sep.size, dropped)
+            if quotes.size or inside:
+                # a run of k quotes opens a field at its start (after a
+                # separator) outside quotes, else is literal; inside quotes
+                # it is k // 2 escaped quotes, and closes the field if k is
+                # odd. So an odd run at a field start toggles the state, any
+                # other odd run leaves it outside, and an even run keeps it.
+                first = np.diff(quotes, prepend=-2) > 1
+                start = quotes[first]
+                k = np.diff(np.append(np.flatnonzero(first), quotes.size))
+                opens = (start == 0) | np.isin(a[start - 1], _SEPARATORS)
+                odd = k % 2 == 1
+                toggles = np.cumsum(odd & opens)
+                reset = np.maximum.accumulate(
+                    np.where(odd & ~opens, np.arange(k.size), -1))
+                flips = np.where(reset >= 0, toggles - toggles[reset],
+                                 toggles + inside)
+                # state[r] is 1 if the first r runs leave a quoted field open
+                state = np.append(inside, flips % 2)
+                not_content = np.where(state[:-1] == 1, k - k // 2,
+                                       np.where(opens, k - (k - 1) // 2, 0))
+                so_far = np.append(0, np.cumsum(not_content)) + dropped
+                run = np.searchsorted(start, sep)
+                out = state[run] == 0
+                sep, ends, sep_dropped = sep[out], ends[out], so_far[run][out]
+                inside, dropped = state[-1], so_far[-1]
+            width = np.diff(sep, prepend=prev - base) - 1
+            length = width - np.diff(sep_dropped, prepend=prev_dropped)
+            end = np.flatnonzero(ends)
+            fields = np.diff(end, prepend=-1 - commas)
+            empty = (fields == 1) & (width[end] == 0)
+            if control.size:
+                faults.append((base + control[0], f" holds the control "
+                               f"character {chr(a[control[0]])!r}"))
+            over = length > limit
+            if over.any():
+                i = np.argmax(over)
+                faults.append((base + sep[i] - width[i],
+                               f": field larger than field limit ({limit})"))
+            short = ~empty & (fields < need)
+            if short.any():
+                faults.append((base + sep[end[np.argmax(short)]],
+                               " has fewer fields than the header"))
+            records += end.size - np.count_nonzero(empty)
+            commas = sep.size - 1 - end[-1] if end.size else commas + sep.size
+            if sep.size:
+                prev, prev_dropped = base + sep[-1], sep_dropped[-1]
+            base += a.size
+    width = base - prev - 1
+    if not faults and (width or commas):   # a last record with no line end
+        if width - (dropped - prev_dropped) > limit:
+            faults.append((prev + 1,
+                           f": field larger than field limit ({limit})"))
+        elif commas + 1 < need:
+            faults.append((base - 1, " has fewer fields than the header"))
+        records += 1
+    if faults:
+        offset, fault = min(faults)
+        raise ValueError(f"line {_line_of(path, offset)}{fault}")
+    return records
+
+
 def read_scores_csv(path) -> LabeledScores:
     """Load a labeled-scores CSV.
 
     The header names pair_id, label and score in any order, beside any other
     columns; fields may use CSV quoting and blank lines are skipped. Each
-    label must be genuine or imposter. Every fault is a ValueError that
-    names the file; a malformed row's also names the line or pair.
+    label must be genuine or imposter. The header is one csv.reader record;
+    _scan_records checks the layout and numpy's C parser reads the label and
+    score columns in one np.loadtxt pass. Every fault is a ValueError that
+    names the file; a malformed row's also names the line, the pair, or
+    numpy's data row (counted from 0, blank lines not counted).
     """
-    genuine: list[float] = []
-    imposter: list[float] = []
-    by_label = {GENUINE_LABEL: genuine, IMPOSTER_LABEL: imposter}
-    pick = None
     with _reading(path, "scores") as fh:
         reader = csv.reader(fh)
         try:
-            columns = {name: k for k, name in enumerate(next(reader, []))}
-            pick = operator.itemgetter(
-                *(columns[name] for name in ("pair_id", "label", "score")))
-            for pair_id, label, score in map(pick, filter(None, reader)):
-                # by_label[label] runs before float(score), so a row with an
-                # unknown label is named for its label
-                by_label[label].append(float(score))
-        except KeyError:   # a column missing from the header, or a label
-            if pick is None:
-                raise ValueError(
-                    "expected header pair_id,label,score") from None
-            raise ValueError(f"pair {pair_id!r} has unknown label "
-                             f"{label!r}") from None
-        except IndexError:
-            raise ValueError(f"line {reader.line_num} has fewer fields than "
-                             f"the header") from None
-        except UnicodeDecodeError:
-            raise   # decoded ahead of the parser, so line_num is not its line
-        except (csv.Error, ValueError) as exc:
-            # a field over the size limit, or a score that is not a float
+            header = next(reader, [])
+        except csv.Error as exc:   # a header field over the size limit
             raise ValueError(f"line {reader.line_num}: {exc}") from None
-        return LabeledScores(genuine=np.asarray(genuine),
-                             imposter=np.asarray(imposter))
+        columns = {name: k for k, name in enumerate(header)}
+        try:
+            pair, label, score = (columns[name]
+                                  for name in ("pair_id", "label", "score"))
+        except KeyError:
+            raise ValueError("expected header pair_id,label,score") from None
+        rows = np.empty(0, dtype=_ROW)
+        if _scan_records(path, max(pair, label, score) + 1) > 1:
+            rows = np.loadtxt(fh, dtype=_ROW, usecols=(label, score),
+                              ndmin=1, **_LOADTXT)
+        genuine = rows["label"] == GENUINE_LABEL.encode()
+        imposter = rows["label"] == IMPOSTER_LABEL.encode()
+        unknown = np.flatnonzero(~(genuine | imposter))
+        if unknown.size:
+            fh.seek(0)
+            next(csv.reader(fh))
+            with warnings.catch_warnings():   # blank lines before the row
+                warnings.simplefilter("ignore", UserWarning)
+                pair_id, name = np.loadtxt(
+                    fh, dtype=object, usecols=(pair, label), ndmin=2,
+                    max_rows=unknown[0] + 1, **_LOADTXT)[-1]
+            raise ValueError(f"pair {pair_id!r} has unknown label {name!r}")
+        return LabeledScores(genuine=rows["score"][genuine],
+                             imposter=rows["score"][imposter])
 
 
 _BLOCK_ROWS = 1 << 16

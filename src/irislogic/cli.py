@@ -92,7 +92,8 @@ def cmd_algebra(args) -> int:
     lines.append(f"result={'pass' if all_ok else 'fail'}")
     _emit("\n".join(lines) + "\n", args.out)
     if not all_ok:
-        return _fail("algebra_check_failed", "see check lines above",
+        where = "above" if args.out is None else f"in {args.out}"
+        return _fail("algebra_check_failed", f"see check lines {where}",
                      EXIT_FAILURE)
     return EXIT_OK
 

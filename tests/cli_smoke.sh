@@ -34,6 +34,14 @@ test "$(head -n 1 curves.csv)" = "t,far,frr,pofa,pofr"
 refused "error=invalid_input " irislogic calibrate --scores scores.csv \
     --target 1e-4 --out same.json --curves-out same.json
 test ! -e same.json
+printf 'pair_id,label,score\na:b,genuine,0.5\na:c,match,0.2\n' > label.csv
+refused "error=invalid_input detail=label.csv: pair 'a:c' has unknown label 'match'" \
+    irislogic calibrate --scores label.csv --target 1e-4 --out label.json
+test ! -e label.json
+python -c "print('pair_id,label,score\na:b,genuine,0.5\n' + 'p' * 131073 + ',imposter,0.2')" > longid.csv
+refused "error=invalid_input detail=longid.csv: line 3: field larger than field limit (131072)" \
+    irislogic calibrate --scores longid.csv --target 1e-4 --out longid.json
+test ! -e longid.json
 irislogic decide --bands bands.json --claim positive --score 0.45 \
     > decide.out
 grep -qxF "claim=positive identity=X score=0.45 modal=D response=rejected output_octal=2 meaning=PR'&NA'" decide.out

@@ -54,17 +54,17 @@ def scores_csv(tmp_path, run):
 
 @pytest.fixture(params=[False, True], ids=["stdout", "out_file"])
 def run_verify(request, run, tmp_path):
-    """Runs `algebra verify`, with --out into tmp_path in the out_file
-    case, where stdout must stay empty; returns the exit code, the check
-    lines and stderr."""
+    """Runs `algebra verify`, with --out into its `out` path (None in the
+    stdout case) in the out_file case, where stdout must stay empty; returns
+    the exit code, the check lines and stderr."""
     def _run():
-        if not request.param:
+        if _run.out is None:
             return run(["algebra", "verify"])
-        path = tmp_path / "verify.txt"
-        code, out, err = run(["algebra", "verify", "--out", str(path)])
+        code, out, err = run(["algebra", "verify", "--out", str(_run.out)])
         assert out == ""
-        return code, path.read_text(encoding="utf-8"), err
+        return code, _run.out.read_text(encoding="utf-8"), err
 
+    _run.out = tmp_path / "verify.txt" if request.param else None
     return _run
 
 
@@ -121,8 +121,12 @@ class TestAlgebraCommand:
         lines = out.splitlines()
         assert "check=injected cases=1 result=FAIL" in lines
         assert lines[-1] == "result=fail"
-        assert err == ("error=algebra_check_failed detail=see check lines "
-                       "above\n")
+        if run_verify.out is None:
+            assert err == ("error=algebra_check_failed detail=see check lines "
+                           "above\n")
+        else:
+            assert err == (f"error=algebra_check_failed detail=see check "
+                           f"lines in {run_verify.out}\n")
 
 
 class TestSimulateCommand:
@@ -381,6 +385,23 @@ class TestCalibrateCommand:
         assert code == 2
         assert err.startswith("error=invalid_input")
         assert "line 3 has fewer fields than the header" in err
+        assert not (tmp_path / "b.json").exists()
+
+    def test_header_only_file_is_one_error_line(self, tmp_path):
+        # in a subprocess, so that a warning would reach stderr as it does
+        # for a user, not pytest's warning capture
+        path = tmp_path / "header.csv"
+        path.write_text("pair_id,label,score\n")
+        src = os.path.dirname(os.path.dirname(irislogic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from irislogic.cli import run; run()",
+             "calibrate", "--scores", str(path), "--target", "1e-4", "--out",
+             str(tmp_path / "b.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error=invalid_input detail={path}: genuine "
+                               f"scores must be a non-empty 1-d list\n")
         assert not (tmp_path / "b.json").exists()
 
 
@@ -697,8 +718,8 @@ class TestUnreadableInput:
         assert deep.read_text() == "[" * 100_000
 
     @pytest.mark.parametrize("score, detail", [
-        ("1" * 131_073, "field larger than field limit"),
-        ("0.5\x00", "could not convert string to float: '0.5\\x00'")],
+        ("1" * 131_073, ": field larger than field limit (131072)"),
+        ("0.5\x00", " holds the control character '\\x00'")],
         ids=["long field", "NUL in score"])
     def test_bad_score_row(self, run, tmp_path, score, detail):
         path = tmp_path / "scores.csv"
@@ -707,8 +728,7 @@ class TestUnreadableInput:
         code, out, err = run(["calibrate", "--scores", str(path), "--target",
                               "1e-4", "--out", str(tmp_path / "b.json")])
         assert (code, out) == (2, "")
-        self.one_error_line(err, f"error=invalid_input detail={path}: "
-                                 f"line 3: {detail}")
+        assert err == f"error=invalid_input detail={path}: line 3{detail}\n"
         assert not (tmp_path / "b.json").exists()
 
     @pytest.mark.parametrize("exc, detail", [
