@@ -271,29 +271,38 @@ def atomic_write(path):
     device such as /dev/null, a FIFO, /dev/stdout) is written in place, as
     open would: there is nothing to replace atomically, and replacing it
     would turn a device into a plain file. Newlines are not translated.
+    An OSError in creating, writing or replacing the file that names no file
+    or the temporary one is raised again naming path as given, so a failed
+    write names the file the caller asked for.
     """
+    given, tmp = os.fspath(path), None
     try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    path = os.path.realpath(path)
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            return
+        path = os.path.realpath(path)
+        directory, name = os.path.split(path)
+        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.errno is None or exc.filename not in (None, tmp):
+            raise
+        raise OSError(exc.errno, exc.strerror, given) from None
 
 
 @contextmanager
@@ -317,17 +326,19 @@ _ROW = np.dtype([("label", "S9"), ("score", "f8")])
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None}
 
 
-def _line_of(path, offset: int) -> int:
-    """The 1-based line that holds path's character at offset, where CR, LF
-    and CRLF each end a line, as csv.reader counts lines."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read(offset + 1)
+def _line_of(fh, offset: int) -> int:
+    """The 1-based line that holds the character at offset from the start of
+    the text handle fh, where CR, LF and CRLF each end a line, as csv.reader
+    counts lines."""
+    fh.seek(0)
+    text = fh.read(offset + 1)
     ends = text.count("\n") + text.count("\r") - text.count("\r\n")
     return 1 + ends - text.endswith(("\r", "\n"))
 
 
-def _scan_records(path, need: int) -> int:
-    """Check path's CSV layout with array operations; return its record count.
+def _scan_records(fh, need: int) -> int:
+    """Check the CSV layout of the text handle fh with array operations, from
+    the start of its bytes (fh.buffer); return its record count.
 
     Splits the text into records and fields as csv.reader does, without
     building them: a double quote opens a quoted field only at the start of
@@ -350,66 +361,66 @@ def _scan_records(path, need: int) -> int:
     commas = 0     # separating commas since the last record ended
     records = 0
     faults = []
-    with open(path, "rb") as raw:
-        while not faults and (block := raw.read(_SCAN_BYTES)
-                              + raw.readline()):
-            a = np.frombuffer(block, dtype=np.uint8)
-            if a.max() >= 0x80:   # keep one byte per character
-                a = a[(a & 0xC0) != 0x80]
-            at = np.flatnonzero(a <= ord(","))   # every byte looked at below
-            c = a[at]
-            control = at[(c == 0) | ((c >= 0x1C) & (c <= 0x1F))]
-            quotes = at[c == ord('"')]
-            is_sep = np.isin(c, _SEPARATORS)
-            sep, ends = at[is_sep], c[is_sep] != ord(",")
-            sep_dropped = np.full(sep.size, dropped)
-            if quotes.size or inside:
-                # a run of k quotes opens a field at its start (after a
-                # separator) outside quotes, else is literal; inside quotes
-                # it is k // 2 escaped quotes, and closes the field if k is
-                # odd. So an odd run at a field start toggles the state, any
-                # other odd run leaves it outside, and an even run keeps it.
-                first = np.diff(quotes, prepend=-2) > 1
-                start = quotes[first]
-                k = np.diff(np.append(np.flatnonzero(first), quotes.size))
-                opens = (start == 0) | np.isin(a[start - 1], _SEPARATORS)
-                odd = k % 2 == 1
-                toggles = np.cumsum(odd & opens)
-                reset = np.maximum.accumulate(
-                    np.where(odd & ~opens, np.arange(k.size), -1))
-                flips = np.where(reset >= 0, toggles - toggles[reset],
-                                 toggles + inside)
-                # state[r] is 1 if the first r runs leave a quoted field open
-                state = np.append(inside, flips % 2)
-                not_content = np.where(state[:-1] == 1, k - k // 2,
-                                       np.where(opens, k - (k - 1) // 2, 0))
-                so_far = np.append(0, np.cumsum(not_content)) + dropped
-                run = np.searchsorted(start, sep)
-                out = state[run] == 0
-                sep, ends, sep_dropped = sep[out], ends[out], so_far[run][out]
-                inside, dropped = state[-1], so_far[-1]
-            width = np.diff(sep, prepend=prev - base) - 1
-            length = width - np.diff(sep_dropped, prepend=prev_dropped)
-            end = np.flatnonzero(ends)
-            fields = np.diff(end, prepend=-1 - commas)
-            empty = (fields == 1) & (width[end] == 0)
-            if control.size:
-                faults.append((base + control[0], f" holds the control "
-                               f"character {chr(a[control[0]])!r}"))
-            over = length > limit
-            if over.any():
-                i = np.argmax(over)
-                faults.append((base + sep[i] - width[i],
-                               f": field larger than field limit ({limit})"))
-            short = ~empty & (fields < need)
-            if short.any():
-                faults.append((base + sep[end[np.argmax(short)]],
-                               " has fewer fields than the header"))
-            records += end.size - np.count_nonzero(empty)
-            commas = sep.size - 1 - end[-1] if end.size else commas + sep.size
-            if sep.size:
-                prev, prev_dropped = base + sep[-1], sep_dropped[-1]
-            base += a.size
+    raw = fh.buffer
+    raw.seek(0)
+    while not faults and (block := raw.read(_SCAN_BYTES) + raw.readline()):
+        a = np.frombuffer(block, dtype=np.uint8)
+        if a.max() >= 0x80:   # keep one byte per character
+            a = a[(a & 0xC0) != 0x80]
+        at = np.flatnonzero(a <= ord(","))   # every byte looked at below
+        c = a[at]
+        control = at[(c == 0) | ((c >= 0x1C) & (c <= 0x1F))]
+        quotes = at[c == ord('"')]
+        is_sep = np.isin(c, _SEPARATORS)
+        sep, ends = at[is_sep], c[is_sep] != ord(",")
+        sep_dropped = np.full(sep.size, dropped)
+        if quotes.size or inside:
+            # a run of k quotes opens a field at its start (after a
+            # separator) outside quotes, else is literal; inside quotes
+            # it is k // 2 escaped quotes, and closes the field if k is
+            # odd. So an odd run at a field start toggles the state, any
+            # other odd run leaves it outside, and an even run keeps it.
+            first = np.diff(quotes, prepend=-2) > 1
+            start = quotes[first]
+            k = np.diff(np.append(np.flatnonzero(first), quotes.size))
+            opens = (start == 0) | np.isin(a[start - 1], _SEPARATORS)
+            odd = k % 2 == 1
+            toggles = np.cumsum(odd & opens)
+            reset = np.maximum.accumulate(
+                np.where(odd & ~opens, np.arange(k.size), -1))
+            flips = np.where(reset >= 0, toggles - toggles[reset],
+                             toggles + inside)
+            # state[r] is 1 if the first r runs leave a quoted field open
+            state = np.append(inside, flips % 2)
+            not_content = np.where(state[:-1] == 1, k - k // 2,
+                                   np.where(opens, k - (k - 1) // 2, 0))
+            so_far = np.append(0, np.cumsum(not_content)) + dropped
+            run = np.searchsorted(start, sep)
+            out = state[run] == 0
+            sep, ends, sep_dropped = sep[out], ends[out], so_far[run][out]
+            inside, dropped = state[-1], so_far[-1]
+        width = np.diff(sep, prepend=prev - base) - 1
+        length = width - np.diff(sep_dropped, prepend=prev_dropped)
+        end = np.flatnonzero(ends)
+        fields = np.diff(end, prepend=-1 - commas)
+        empty = (fields == 1) & (width[end] == 0)
+        if control.size:
+            faults.append((base + control[0], f" holds the control "
+                           f"character {chr(a[control[0]])!r}"))
+        over = length > limit
+        if over.any():
+            i = np.argmax(over)
+            faults.append((base + sep[i] - width[i],
+                           f": field larger than field limit ({limit})"))
+        short = ~empty & (fields < need)
+        if short.any():
+            faults.append((base + sep[end[np.argmax(short)]],
+                           " has fewer fields than the header"))
+        records += end.size - np.count_nonzero(empty)
+        commas = sep.size - 1 - end[-1] if end.size else commas + sep.size
+        if sep.size:
+            prev, prev_dropped = base + sep[-1], sep_dropped[-1]
+        base += a.size
     width = base - prev - 1
     if not faults and (width or commas):   # a last record with no line end
         if width - (dropped - prev_dropped) > limit:
@@ -420,7 +431,7 @@ def _scan_records(path, need: int) -> int:
         records += 1
     if faults:
         offset, fault = min(faults)
-        raise ValueError(f"line {_line_of(path, offset)}{fault}")
+        raise ValueError(f"line {_line_of(fh, offset)}{fault}")
     return records
 
 
@@ -429,11 +440,15 @@ def read_scores_csv(path) -> LabeledScores:
 
     The header names pair_id, label and score in any order, beside any other
     columns; fields may use CSV quoting and blank lines are skipped. Each
-    label must be genuine or imposter. The header is one csv.reader record;
-    _scan_records checks the layout and numpy's C parser reads the label and
-    score columns in one np.loadtxt pass. Every fault is a ValueError that
-    names the file; a malformed row's also names the line, the pair, or
-    numpy's data row (counted from 0, blank lines not counted).
+    label must be genuine or imposter. The file is opened once, and every
+    step reads that one handle from its start, so each reads the same
+    bytes: the header is one csv.reader record; _scan_records checks the
+    layout; numpy's C parser then reads the label and score columns after
+    the header in one np.loadtxt pass. A handle that cannot seek, such as
+    a pipe, is refused by its own seek (io.UnsupportedOperation, a
+    ValueError). Every fault is a ValueError that names the file; a
+    malformed row's also names the line, the pair, or numpy's data row
+    (counted from 0, blank lines not counted).
     """
     with _reading(path, "scores") as fh:
         reader = csv.reader(fh)
@@ -448,7 +463,9 @@ def read_scores_csv(path) -> LabeledScores:
         except KeyError:
             raise ValueError("expected header pair_id,label,score") from None
         rows = np.empty(0, dtype=_ROW)
-        if _scan_records(path, max(pair, label, score) + 1) > 1:
+        if _scan_records(fh, max(pair, label, score) + 1) > 1:
+            fh.seek(0)
+            next(csv.reader(fh))
             rows = np.loadtxt(fh, dtype=_ROW, usecols=(label, score),
                               ndmin=1, **_LOADTXT)
         genuine = rows["label"] == GENUINE_LABEL.encode()

@@ -345,7 +345,7 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
                               return_inverse=True)
     bit_length = gallery.bit_length()
     undecidable: list[tuple[str, str, float]] = []
-    ones = zeros = errors = total = 0
+    ones = zeros = errors = 0
     for k in range(n - 1):
         scores = _scores(rows[k + 1:], rows[k], bit_length)
         codes = classify_many(scores, gallery.bands)
@@ -356,8 +356,8 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
         errors += int((codes == wrong).sum())
         ones += int((codes == CODE_I).sum())
         zeros += int((codes == CODE_D).sum())
-        total += codes.size
-    return ConsistencyReport(passed=not undecidable, pair_count=total,
+    return ConsistencyReport(passed=not undecidable,
+                             pair_count=n * (n - 1) // 2,
                              undecidable_pairs=tuple(undecidable),
                              crisp_one_count=ones, crisp_zero_count=zeros,
                              recognition_errors=errors)

@@ -27,6 +27,9 @@ gallery() {
 irislogic algebra verify
 irislogic simulate --identities 20 --samples-per 5 --bits 1024 \
     --flip 0.15 --seed 3 --out scores.csv
+refused "error=invalid_input detail=\[Errno 2\] No such file or directory: 'missing/x.csv'\$" \
+    irislogic simulate --identities 3 --samples-per 2 --out missing/x.csv
+test ! -e missing
 irislogic calibrate --scores scores.csv --target 1e-4 \
     --out bands.json --curves-out curves.csv
 test "$(wc -l < curves.csv)" -eq 10002

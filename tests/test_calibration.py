@@ -509,6 +509,21 @@ SCORE_FILES = {
     "quoted header field with a newline": '"pair_id","la\nbel","label",score\n'
                                           "a:b,x,genuine,0.5\n"
                                           "a:c,y,imposter,0.1\n",
+    # the limit counts characters, not UTF-8 bytes
+    "non-ASCII pair id at the field limit": "pair_id,label,score\n"
+                                            "a:b,genuine,0.5\n"
+                                            + "é" * csv.field_size_limit()
+                                            + ",imposter,0.2\n",
+    "non-ASCII pair id over the field limit": "pair_id,label,score\n"
+                                              "a:b,genuine,0.5\n"
+                                              + "é" * (csv.field_size_limit()
+                                                       + 1)
+                                              + ",imposter,0.2\n",
+    "unterminated last record, pair id over the field limit":
+        "label,score,pair_id\ngenuine,0.5,a:b\nimposter,0.2,"
+        + "p" * (csv.field_size_limit() + 1),
+    "unterminated short last record": "pair_id,label,score\n"
+                                      "a:b,genuine,0.5\na:c,imposter",
 }
 
 
@@ -641,6 +656,55 @@ class TestFileFormats:
             with monkeypatch.context() as m:
                 m.setattr(calibration, "_SCAN_BYTES", 1)
                 assert result() == expected, name
+
+    @pytest.mark.parametrize("text", [
+        "pair_id,label,score\na:b,genuine,0.5\na:c,imposter,0.25\n",
+        "pair_id,label\na:b,genuine\n",
+        "pair_id,label,score\na:b,genuine,0.5\na:c,imposter\n",
+        "pair_id,label,score\na:b,genuine,high\n",
+        "pair_id,label,score\na:b,genuine,0.5\na:c,match,0.2\n",
+    ], ids=["accepted", "header fault", "layout fault", "score fault",
+            "unknown label"])
+    def test_reader_opens_the_file_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        expected = read_outcome(dictreader_scores, path)
+        opened = []
+
+        def counting(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "open", counting, raising=False)
+        assert read_outcome(read_scores_csv, path) == expected
+        assert opened == [path]
+
+    def test_file_replaced_after_its_header_is_checked_as_read(
+            self, tmp_path, monkeypatch):
+        # the layout check reads the handle the parser reads, so a clean
+        # file put in the path's place does not stand in for the one read
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"pair_id,label,score\na\x00:b,genuine,0.5\n"
+                         b"a:c,imposter,0.25\n")
+        clean = tmp_path / "clean.csv"
+        clean.write_bytes(b"pair_id,label,score\na:b,genuine,0.5\n"
+                          b"a:c,imposter,0.25\n")
+        reader = csv.reader
+
+        def replace_after_header(*args, **kwargs):
+            records = reader(*args, **kwargs)
+            header = next(records)
+            if clean.exists():
+                os.replace(clean, path)
+            yield header
+            yield from records
+
+        monkeypatch.setattr(calibration.csv, "reader", replace_after_header)
+        with pytest.raises(ValueError) as exc:
+            read_scores_csv(path)
+        assert str(exc.value) == \
+            f"{path}: line 2 holds the control character '\\x00'"
+        assert not clean.exists()
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(st.tuples(

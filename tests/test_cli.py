@@ -404,6 +404,22 @@ class TestCalibrateCommand:
                                f"scores must be a non-empty 1-d list\n")
         assert not (tmp_path / "b.json").exists()
 
+    def test_piped_scores_are_refused(self, tmp_path, scores_csv):
+        # the reader reads the file from its start more than once, which a
+        # pipe cannot do
+        src = os.path.dirname(os.path.dirname(irislogic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from irislogic.cli import run; run()",
+             "calibrate", "--scores", "/dev/stdin", "--target", "1e-4",
+             "--out", "b.json"],
+            input=scores_csv.read_bytes(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (b"error=invalid_input detail=/dev/stdin: "
+                               b"File or stream is not seekable.\n")
+        assert not (tmp_path / "b.json").exists()
+
 
 class TestDecideCommand:
     @pytest.fixture
@@ -838,6 +854,36 @@ class TestFileFaultsNameTheFile:
         assert err.count("\n") == 1
         assert err.startswith(f"error=invalid_input detail={path}: ")
         assert path.read_bytes() == b"\xff"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--identities", "3", "--samples-per", "2", "--bits",
+         "64", "--out"],
+        ["calibrate", "--scores", "scores.csv", "--target", "1e-4", "--out"],
+        ["curves", "--scores", "scores.csv", "--out"],
+        ["algebra", "table", "--out"],
+        ["enroll", "--bands", "bands.json", "--identity", "alice",
+         "--template-id", "alice_1", "--bits-hex", "b2d0", "--gallery"],
+    ], ids=["simulate", "calibrate", "curves", "algebra table", "enroll"])
+    def test_failed_write_names_the_output(self, run, tmp_path, monkeypatch,
+                                           scores_csv, argv):
+        # the error names the path given, not the temporary file beside it
+        monkeypatch.chdir(tmp_path)
+        Path("bands.json").write_text(json.dumps(self.BANDS))
+        out = os.path.join("missing", "x.out")
+        code, stdout, err = run(argv + [out])
+        assert (code, stdout) == (2, "")
+        assert err == (f"error=invalid_input detail=[Errno 2] No such file "
+                       f"or directory: {out!r}\n")
+        assert sorted(os.listdir()) == ["bands.json", "scores.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_failed_write_in_place_names_the_output(self, run):
+        # a device is written in place; a full one fails on the write
+        code, _, err = run(["algebra", "table", "--out", "/dev/full"])
+        assert code == 2
+        assert err == ("error=invalid_input detail=[Errno 28] No space left "
+                       "on device: '/dev/full'\n")
 
 
 class TestTopLevel:
