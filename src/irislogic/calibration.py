@@ -485,7 +485,19 @@ def read_scores_csv(path) -> LabeledScores:
 
 
 _BLOCK_ROWS = 1 << 16
+#: a block holds fewer rows when its ids are so long that _BLOCK_ROWS
+#: rows, padded to the longest pair of ids, would take more bytes
+_BLOCK_BYTES = 1 << 22
 _NEEDS_QUOTING = frozenset(',"\r\n')
+#: the characters _scan_records refuses in any field
+_REFUSED_CONTROLS = frozenset("\x00\x1c\x1d\x1e\x1f")
+
+
+def _table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """pieces as a fixed-width bytes array, and the length of each as
+    int32, which makes the padding mask twice as fast to build as int64."""
+    table = np.array(pieces, dtype="S")
+    return table, np.strings.str_len(table).astype(np.int32)
 
 
 def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
@@ -493,32 +505,67 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
 
     Row k is pair template_ids[i[k]]:template_ids[j[k]], labeled genuine
     where genuine[k] is true and imposter elsewhere, with score
-    repr(float(scores[k])) (a negative zero is written as 0.0). Rows are
-    formatted in blocks of _BLOCK_ROWS, so no full-length Python list is
-    built. A template id that CSV would have to quote (one holding a comma,
-    a double quote, CR or LF) raises ValueError before anything is written.
+    repr(float(scores[k])) (a negative zero is written as 0.0). The ids are
+    str. Rows are built in blocks of at most _BLOCK_ROWS by array
+    operations, so no full-length object is built and no Python loop runs
+    over rows: each row gathers its three pieces, id:, id and
+    ,label,score, from byte tables of the templates and of the block's
+    distinct (label, score) pairs, joins them into fixed-width rows and
+    drops the padding by the pieces' lengths.
+
+    Nothing is written, and ValueError is raised, for a file the reader
+    would refuse or misread: a template id that CSV would have to quote (one
+    holding a comma, a double quote, CR or LF), one holding a control
+    character _scan_records refuses (NUL or U+001C..U+001F), or a pair
+    whose pair_id would be longer than csv.field_size_limit().
     """
     ids = list(template_ids)
     for t in ids:
         if not _NEEDS_QUOTING.isdisjoint(t):
             raise ValueError(f"template id {t!r} would need CSV quoting")
+        if refused := _REFUSED_CONTROLS.intersection(t):
+            raise ValueError(f"template id {t!r} holds the control "
+                             f"character {min(refused)!r}")
     columns = (np.asarray(i), np.asarray(j), np.asarray(genuine, dtype=bool),
                np.asarray(scores, dtype=float))
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError("pair columns must be 1-d and of equal length")
+    encoded = [t.encode() for t in ids]
+    head, head_len = _table([t + b":" for t in encoded])
+    tail, tail_len = _table(encoded)
+    step = max(1, min(_BLOCK_ROWS,
+                      _BLOCK_BYTES // (head.itemsize + tail.itemsize)))
+    blocks = [tuple(c[start:start + step] for c in columns)
+              for start in range(0, columns[0].size, step)]
+    limit = csv.field_size_limit()
+    widths = np.array([len(t) for t in ids], dtype=np.int64)
+    if 2 * widths.max(initial=0) + 1 > limit:   # a pair may be too long
+        for a, b, _, _ in blocks:
+            over = np.take(widths, a) + np.take(widths, b) + 1 > limit
+            if over.any():
+                k = np.argmax(over)
+                raise ValueError(
+                    f"the pair_id of templates {a[k]} and {b[k]} would be "
+                    f"longer than the field limit ({limit})")
     labels = (f",{IMPOSTER_LABEL},", f",{GENUINE_LABEL},")
-    reprs: dict[float, str] = {}
     with atomic_write(path) as fh:
-        fh.write("pair_id,label,score\n")
-        for start in range(0, columns[0].size, _BLOCK_ROWS):
-            a, b, g, s = (c[start:start + _BLOCK_ROWS] for c in columns)
-            # + 0.0 turns -0.0 into 0.0, which the repr memo cannot tell apart
-            s = (s + 0.0).tolist()
-            for x in set(s).difference(reprs):
-                reprs[x] = repr(x)
-            fh.write("".join([
-                f"{ids[p]}:{ids[q]}{labels[y]}{reprs[x]}\n"
-                for p, q, y, x in zip(a.tolist(), b.tolist(), g.tolist(), s)]))
+        out = fh.buffer
+        out.write(b"pair_id,label,score\n")
+        for a, b, g, s in blocks:
+            # + 0.0 turns -0.0 into 0.0, so every zero is written 0.0
+            distinct, which = np.unique(s + 0.0, return_inverse=True)
+            reprs = [repr(x) for x in distinct.tolist()]
+            ends, end_len = _table([f"{label}{r}\n".encode()
+                                    for label in labels for r in reprs])
+            key = g * len(reprs) + which
+            rows = np.strings.add(
+                np.strings.add(np.take(head, a), np.take(tail, b)),
+                np.take(ends, key))
+            length = (np.take(head_len, a) + np.take(tail_len, b)
+                      + np.take(end_len, key))
+            chars = rows.view(np.uint8).reshape(rows.size, rows.itemsize)
+            width = np.arange(rows.itemsize, dtype=np.int32)
+            out.write(chars[width < length[:, None]])
 
 
 def write_curves_csv(curves: RateCurves, path) -> None:

@@ -113,9 +113,12 @@ def cmd_calibrate(args) -> int:
         _require_distinct(args.curves_out, [args.scores, args.out])
     curves = _read_curves(args)
     bands = calibration.derive_bands(curves, args.target)
-    calibration.write_bands_json(bands, args.out)
-    if args.curves_out is not None:
-        calibration.write_curves_csv(curves, args.curves_out)
+    # the bands file is replaced only once the curves file is, so an output
+    # that cannot be written leaves both files as they were
+    with calibration.atomic_write(args.out) as fh:
+        fh.write(calibration.bands_to_json(bands))
+        if args.curves_out is not None:
+            calibration.write_curves_csv(curves, args.curves_out)
     report = calibration.comfort_report(curves, bands)
     print(" ".join(_fields(bands)), *_fields(report), sep="\n")
     return EXIT_OK

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable
 
 
@@ -57,11 +57,14 @@ def neg(a: int) -> Octal:
     return Octal(7 - Octal(a))
 
 
+@cache
 def product(a: int, b: int) -> Octal:
     """Infimum of two elements, from the arithmetic definition.
 
     Uses only modulo and order comparisons, never a native bitwise
     operator, so that product_oracle stays an independent construction.
+    Each distinct pair is computed once: verification_checks asks for the
+    64 products of the elements thousands of times.
     """
     a, b = Octal(a), Octal(b)
     c = 0

@@ -37,6 +37,14 @@ test "$(head -n 1 curves.csv)" = "t,far,frr,pofa,pofr"
 refused "error=invalid_input " irislogic calibrate --scores scores.csv \
     --target 1e-4 --out same.json --curves-out same.json
 test ! -e same.json
+cp bands.json bands.before
+refused "error=invalid_input detail=\[Errno 2\] No such file or directory: 'missing/c.csv'\$" \
+    irislogic calibrate --scores scores.csv --target 1e-1 \
+    --out bands.json --curves-out missing/c.csv
+cmp bands.json bands.before
+refused "error=invalid_input " irislogic calibrate --scores scores.csv \
+    --target 1e-4 --out new.json --curves-out missing/c.csv
+test ! -e new.json
 printf 'pair_id,label,score\na:b,genuine,0.5\na:c,match,0.2\n' > label.csv
 refused "error=invalid_input detail=label.csv: pair 'a:c' has unknown label 'match'" \
     irislogic calibrate --scores label.csv --target 1e-4 --out label.json

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irislogic import calibration
@@ -527,7 +527,123 @@ SCORE_FILES = {
 }
 
 
+def reference_scores_csv(template_ids, i, j, genuine, scores) -> bytes:
+    """The file write_scores_csv writes, formatted one f-string per row: the
+    writer's format as it was first written, which its bytes are pinned to."""
+    labels = (f",{IMPOSTER_LABEL},", f",{GENUINE_LABEL},")
+    rows = [f"{template_ids[p]}:{template_ids[q]}{labels[y]}"
+            f"{x + 0.0!r}\n"
+            for p, q, y, x in zip(*(np.asarray(c).tolist()
+                                    for c in (i, j, genuine, scores)))]
+    return ("pair_id,label,score\n" + "".join(rows)).encode()
+
+
+#: template ids the writer refuses, each with the words of its refusal
+REFUSED_IDS = {
+    "a,b": "would need CSV quoting",
+    'a"b': "would need CSV quoting",
+    "a\rb": "would need CSV quoting",
+    "a\nb": "would need CSV quoting",
+    "a\x00b": "holds the control character '\\\\x00'",
+    "a\x00": "holds the control character '\\\\x00'",
+    "a\x1cb": "holds the control character '\\\\x1c'",
+    "a\x1fb": "holds the control character '\\\\x1f'",
+    # with the field limit at 16, "ok:" and this id make 17 characters
+    "p" * 14: "would be longer than the field limit \\(16\\)",
+}
+#: scores whose reprs are special: zeros of both signs, the smallest
+#: subnormal, and 16 and 17 significant digits
+SPECIAL_SCORES = [-0.0, 0.0, 1.0, 5e-324, 0.30000000000000004,
+                  0.10000000000000002, 0.7541528239202658]
+
+
+@st.composite
+def scored_pairs(draw, ids, scores):
+    """(template ids, i, j, genuine, scores) for write_scores_csv, with ids
+    drawn from `ids` and scores from `scores`; 0 rows are drawn too."""
+    template_ids = draw(st.lists(ids, min_size=1, max_size=6))
+    index = st.integers(0, len(template_ids) - 1)
+    rows = draw(st.lists(st.tuples(index, index, st.booleans(), scores),
+                         max_size=25))
+    i, j, genuine, values = list(zip(*rows)) or [()] * 4
+    return (template_ids, np.array(i, dtype=np.int64),
+            np.array(j, dtype=np.int64), np.array(genuine, dtype=bool),
+            np.array(values, dtype=float))
+
+
 class TestFileFormats:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=scored_pairs(
+               st.one_of(st.just(""), st.sampled_from(["é", "José_1",
+                                                       "\U0001f441", "id0"]),
+                         st.text(st.characters(
+                             codec="utf-8",
+                             exclude_characters=',"\r\n\x00\x1c\x1d\x1e\x1f'),
+                             max_size=8)),
+               st.one_of(st.sampled_from(SPECIAL_SCORES), st.floats())),
+           block_rows=st.sampled_from([1, 2, 7, 1 << 16]),
+           block_bytes=st.sampled_from([1, 40, 1 << 22]))
+    @example(pairs=(["a"], np.array([], dtype=np.int64),
+                    np.array([], dtype=np.int64), np.array([], dtype=bool),
+                    np.array([])),
+             block_rows=7, block_bytes=1 << 22)   # the header alone
+    def test_scores_bytes_match_the_row_formatter(
+            self, tmp_path_factory, pairs, block_rows, block_bytes):
+        # blocks of 1, 2 and 7 rows, or of fewer where the byte cap sets
+        # them, so rows and distinct scores run across block boundaries
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(calibration, "_BLOCK_ROWS", block_rows)
+            m.setattr(calibration, "_BLOCK_BYTES", block_bytes)
+            write_scores_csv(path, *pairs)
+        assert path.read_bytes() == reference_scores_csv(*pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=scored_pairs(st.text(max_size=6), st.floats(0.0, 1.0)),
+           block_rows=st.sampled_from([1, 7, 1 << 16]))
+    def test_accepted_ids_read_back(self, tmp_path_factory, pairs,
+                                    block_rows):
+        # a file the writer writes, the reader reads back to the same
+        # scores; an id the writer refuses holds a character it names
+        template_ids, i, j, genuine, scores = pairs
+        i, j = np.append(i, [0, 0]), np.append(j, [0, 0])
+        genuine = np.append(genuine, [True, False])
+        scores = np.append(scores, [0.5, 0.25])
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        try:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(calibration, "_BLOCK_ROWS", block_rows)
+                write_scores_csv(path, template_ids, i, j, genuine, scores)
+        except ValueError:
+            assert any(set(t) & set(',"\r\n\x00\x1c\x1d\x1e\x1f')
+                       for t in template_ids)
+            assert not path.exists()
+            return
+        samples = read_scores_csv(path)
+        assert sorted(samples.genuine.tolist()) == \
+            sorted(scores[genuine].tolist())
+        assert sorted(samples.imposter.tolist()) == \
+            sorted(scores[~genuine].tolist())
+
+    def test_long_ids_shrink_the_block(self, tmp_path):
+        # one 2,000-character id among 300: blocks padded to it would take
+        # 44,850 rows x 4,035 bytes, about 173 MiB; the byte cap keeps a
+        # block near 4 MiB
+        ids = [f"id{k:04d}" for k in range(299)] + ["q" * 2000]
+        i, j = np.triu_indices(len(ids), 1)
+        genuine = i // 4 == j // 4
+        scores = np.random.default_rng(3).random(i.size)
+        path = tmp_path / "scores.csv"
+        tracemalloc.start()
+        try:
+            write_scores_csv(path, ids, i, j, genuine, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert path.read_bytes() == reference_scores_csv(ids, i, j, genuine,
+                                                         scores)
+
     def test_scores_csv_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
         write_scores_csv(path, ["a", "b", "c"], np.array([0, 0, 1]),
@@ -839,14 +955,20 @@ class TestAtomicWrites:
             write_curves_csv(broken, path)
         self.assert_untouched(path)
 
-    @pytest.mark.parametrize("bad_id", ["a,b", 'a"b', "a\rb", "a\nb"])
+    @pytest.mark.parametrize("bad_id", list(REFUSED_IDS))
     def test_scores_writer_refuses_ids_that_need_quoting(self, tmp_path,
                                                          bad_id):
+        # ids CSV would quote, and ids the reader would refuse: control
+        # characters, and a pair_id over the field limit
         path = self.old_file(tmp_path, "scores.csv")
-        with pytest.raises(ValueError, match="would need CSV quoting"):
-            write_scores_csv(path, ["ok", bad_id], np.array([0]),
-                             np.array([1]), np.array([False]),
-                             np.array([0.5]))
+        limit = csv.field_size_limit(16)
+        try:
+            with pytest.raises(ValueError, match=REFUSED_IDS[bad_id]):
+                write_scores_csv(path, ["ok", bad_id], np.array([0]),
+                                 np.array([1]), np.array([False]),
+                                 np.array([0.5]))
+        finally:
+            csv.field_size_limit(limit)
         self.assert_untouched(path)
 
     def test_scores_writer_refuses_unequal_columns(self, tmp_path):

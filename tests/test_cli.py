@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import irislogic
 from irislogic import cli
+from irislogic.calibration import read_bands_json, write_bands_json
 from irislogic.cli import main
 from irislogic.enrollment import bits_to_hex
 
@@ -357,6 +358,36 @@ class TestCalibrateCommand:
         assert scores_csv.read_bytes() == before
         assert os.readlink(link) == scores_csv.name
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "scores.csv"]
+
+    @pytest.mark.parametrize("old_bands", [None, b"old bands\n"],
+                             ids=["new --out", "existing --out"])
+    def test_unwritable_curves_out_leaves_both_files(self, run, tmp_path,
+                                                     scores_csv, old_bands):
+        bands = tmp_path / "b.json"
+        if old_bands is not None:
+            bands.write_bytes(old_bands)
+        curves = tmp_path / "missing" / "c.csv"
+        code, out, err = run(["calibrate", "--scores", str(scores_csv),
+                              "--target", "1e-4", "--out", str(bands),
+                              "--curves-out", str(curves)])
+        assert (code, out) == (2, "")
+        assert err == (f"error=invalid_input detail=[Errno 2] No such file "
+                       f"or directory: {str(curves)!r}\n")
+        assert set(os.listdir(tmp_path)) == \
+            {"scores.csv"} | ({"b.json"} if old_bands else set())
+        if old_bands is not None:
+            assert bands.read_bytes() == old_bands
+
+    def test_bands_file_bytes(self, run, tmp_path, scores_csv):
+        # written with the curves file, as write_bands_json writes it alone
+        bands = tmp_path / "b.json"
+        code, _, _ = run(["calibrate", "--scores", str(scores_csv),
+                          "--target", "1e-4", "--out", str(bands),
+                          "--curves-out", str(tmp_path / "c.csv")])
+        assert code == 0
+        alone = tmp_path / "alone.json"
+        write_bands_json(read_bands_json(bands), alone)
+        assert bands.read_bytes() == alone.read_bytes()
 
     def test_curves_out_must_differ_from_out(self, run, tmp_path,
                                              scores_csv):

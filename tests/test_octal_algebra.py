@@ -414,3 +414,16 @@ class TestVerificationChecks:
         names = [name for name, _, _ in rows]
         assert len(set(names)) == len(names)
         assert all(cases > 0 for _, cases, _ in rows)
+
+    def test_each_product_is_computed_once(self):
+        product.cache_clear()
+        verification_checks()
+        misses = product.cache_info().misses
+        assert misses <= 64
+        for a, b in PAIRS:
+            formula = sum(2 ** k * (a % 2 ** (k + 1) >= 2 ** k)
+                          * (b % 2 ** (k + 1) >= 2 ** k) for k in range(3))
+            assert product(a, b) == formula
+            assert type(product(a, b)) is Octal
+        # every pair was cached by the checks: none of the calls missed
+        assert product.cache_info().misses == misses
