@@ -28,9 +28,9 @@ import csv
 import json
 import os
 import stat
-import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -323,7 +323,6 @@ _SEPARATORS = (ord(","), ord("\n"), ord("\r"))
 #: labels are read as Latin-1 bytes, one wider than the longest label, so
 #: a longer label, cut to that width, still differs from both
 _ROW = np.dtype([("label", "S9"), ("score", "f8")])
-_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None}
 
 
 def _line_of(fh, offset: int) -> int:
@@ -444,8 +443,9 @@ def read_scores_csv(path) -> LabeledScores:
     step reads that one handle from its start, so each reads the same
     bytes: the header is one csv.reader record; _scan_records checks the
     layout; numpy's C parser then reads the label and score columns after
-    the header in one np.loadtxt pass. A handle that cannot seek, such as
-    a pipe, is refused by its own seek (io.UnsupportedOperation, a
+    the header in one np.loadtxt pass; and the first unknown label is
+    named from its own csv.reader record. A handle that cannot seek, such
+    as a pipe, is refused by its own seek (io.UnsupportedOperation, a
     ValueError). Every fault is a ValueError that names the file; a
     malformed row's also names the line, the pair, or numpy's data row
     (counted from 0, blank lines not counted).
@@ -466,20 +466,19 @@ def read_scores_csv(path) -> LabeledScores:
         if _scan_records(fh, max(pair, label, score) + 1) > 1:
             fh.seek(0)
             next(csv.reader(fh))
-            rows = np.loadtxt(fh, dtype=_ROW, usecols=(label, score),
-                              ndmin=1, **_LOADTXT)
+            rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", quotechar='"',
+                              comments=None, usecols=(label, score), ndmin=1)
         genuine = rows["label"] == GENUINE_LABEL.encode()
         imposter = rows["label"] == IMPOSTER_LABEL.encode()
         unknown = np.flatnonzero(~(genuine | imposter))
         if unknown.size:
+            # the scan refused records shorter than the header, so numpy
+            # skips blank lines alone: its data row r is non-empty record r+1
             fh.seek(0)
-            next(csv.reader(fh))
-            with warnings.catch_warnings():   # blank lines before the row
-                warnings.simplefilter("ignore", UserWarning)
-                pair_id, name = np.loadtxt(
-                    fh, dtype=object, usecols=(pair, label), ndmin=2,
-                    max_rows=unknown[0] + 1, **_LOADTXT)[-1]
-            raise ValueError(f"pair {pair_id!r} has unknown label {name!r}")
+            record = next(islice(filter(None, csv.reader(fh)),
+                                 unknown[0] + 1, None))
+            raise ValueError(f"pair {record[pair]!r} has unknown label "
+                             f"{record[label]!r}")
         return LabeledScores(genuine=rows["score"][genuine],
                              imposter=rows["score"][imposter])
 

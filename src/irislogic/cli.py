@@ -117,6 +117,7 @@ def cmd_calibrate(args) -> int:
     # that cannot be written leaves both files as they were
     with calibration.atomic_write(args.out) as fh:
         fh.write(calibration.bands_to_json(bands))
+        fh.flush()   # a full device fails here, before the curves file
         if args.curves_out is not None:
             calibration.write_curves_csv(curves, args.curves_out)
     report = calibration.comfort_report(curves, bands)
@@ -146,15 +147,16 @@ def cmd_decide(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    bands = args.bands and calibration.read_bands_json(args.bands)
+    bands = (None if args.bands is None
+             else calibration.read_bands_json(args.bands))
     if os.path.exists(args.gallery):
         gallery = enrollment.load_gallery(args.gallery)
-        if bands and bands != gallery.bands:
+        if bands is not None and bands != gallery.bands:
             return _fail("bands_mismatch", args.bands, EXIT_USAGE)
         if args.template_id in gallery._ids:
             return _fail("duplicate_template_id", args.template_id,
                          EXIT_USAGE)
-    elif bands:
+    elif bands is not None:
         gallery = enrollment.Gallery(bands=bands)
     else:
         raise ValueError("creating a new gallery requires --bands")

@@ -727,6 +727,31 @@ class TestFileFormats:
             read_scores_csv(path)
         assert str(exc.value) == f"{path}: expected header pair_id,label,score"
 
+    @pytest.mark.parametrize("text, pair, label", [
+        ("pair_id,label,score\n\nx,genuine,0.5\n\n\ny,match,0.5\n",
+         "y", "match"),
+        ('pair_id,label,score\n"a\nb:c",genuine,0.5\n\nd,match,0.5\n',
+         "d", "match"),
+        ("pair_id,label,score\r\nx,genuine,0.5\r\n\r\ny,match,0.5\r\n",
+         "y", "match"),
+        ("pair_id,label,score\rx,genuine,0.5\r\ry,match,0.5\r",
+         "y", "match"),
+        ("pair_id,label,score\nx,genuine,0.5\n\ny,imposterXYZW,0.5\n",
+         "y", "imposterXYZW"),
+        ("pair_id,label,score\nx,genuine,0.5\ny,match,0.5\n\n"
+         "z,other,0.5\n", "y", "match"),
+    ], ids=["after blank lines", "after a two-line pair id", "CRLF",
+            "CR only", "wider than S9", "first of two"])
+    def test_unknown_label_names_its_record(self, tmp_path, text, pair,
+                                            label):
+        # numpy finds the row; its pair and label are those csv.reader reads
+        path = tmp_path / "l.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            read_scores_csv(path)
+        assert str(exc.value) == \
+            f"{path}: pair {pair!r} has unknown label {label!r}"
+
     @pytest.mark.parametrize("text, detail", [
         ("pair_id,label,score\na:b,genuine,0.5\na:c,imposter,"
          + "1" * (csv.field_size_limit() + 1) + "\n",
@@ -970,6 +995,42 @@ class TestAtomicWrites:
         finally:
             csv.field_size_limit(limit)
         self.assert_untouched(path)
+
+    @pytest.mark.parametrize(
+        "char", [chr(c) for c in range(0x20) if chr(c) not in "\r\n"]
+        + ["\x7f"], ids=lambda c: f"U+{ord(c):04X}")
+    def test_scores_writer_and_reader_refuse_the_same_controls(self,
+                                                                tmp_path,
+                                                                char):
+        # the rule is spelled twice, in the writer's _REFUSED_CONTROLS and
+        # in the reader's scan; what the writer writes must read back
+        t = f"a{char}b"
+        text = (f"pair_id,label,score\n{t}:c,genuine,0.5\n"
+                f"c:{t},imposter,0.25\n").encode()
+        written = tmp_path / "written.csv"
+        try:
+            write_scores_csv(written, [t, "c"], np.array([0, 1]),
+                             np.array([1, 0]), np.array([True, False]),
+                             np.array([0.5, 0.25]))
+        except ValueError as exc:
+            assert str(exc) == (f"template id {t!r} holds the control "
+                                f"character {char!r}")
+            writer_refuses = True
+            assert not written.exists()
+        else:
+            writer_refuses = False
+            assert written.read_bytes() == text
+        by_hand = tmp_path / "by_hand.csv"
+        by_hand.write_bytes(text)
+        try:
+            read_scores_csv(by_hand)
+        except ValueError as exc:
+            assert str(exc) == (f"{by_hand}: line 2 holds the control "
+                                f"character {char!r}")
+            reader_refuses = True
+        else:
+            reader_refuses = False
+        assert writer_refuses == reader_refuses
 
     def test_scores_writer_refuses_unequal_columns(self, tmp_path):
         path = self.old_file(tmp_path, "scores.csv")

@@ -378,6 +378,26 @@ class TestCalibrateCommand:
         if old_bands is not None:
             assert bands.read_bytes() == old_bands
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("old_curves", [None, b"old curves\n"],
+                             ids=["new --curves-out", "existing --curves-out"])
+    def test_full_out_leaves_the_curves_file(self, run, tmp_path, scores_csv,
+                                             old_curves):
+        curves = tmp_path / "c.csv"
+        if old_curves is not None:
+            curves.write_bytes(old_curves)
+        code, out, err = run(["calibrate", "--scores", str(scores_csv),
+                              "--target", "1e-2", "--out", "/dev/full",
+                              "--curves-out", str(curves)])
+        assert (code, out) == (2, "")
+        assert err == ("error=invalid_input detail=[Errno 28] No space left "
+                       "on device: '/dev/full'\n")
+        assert set(os.listdir(tmp_path)) == \
+            {"scores.csv"} | ({"c.csv"} if old_curves else set())
+        if old_curves is not None:
+            assert curves.read_bytes() == old_curves
+
     def test_bands_file_bytes(self, run, tmp_path, scores_csv):
         # written with the curves file, as write_bands_json writes it alone
         bands = tmp_path / "b.json"
@@ -693,6 +713,32 @@ class TestEnrollCommand:
                             bits_to_hex(base_bits)])
         assert code == 2
         assert "requires --bands" in err
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new gallery", "existing gallery"])
+    def test_empty_bands_path_is_a_missing_file(self, run, tmp_path,
+                                                bands_json, base_bits,
+                                                existing):
+        gallery = tmp_path / "g.json"
+        if existing:
+            code, _, _ = run(["enroll", "--gallery", str(gallery), "--bands",
+                              str(bands_json), "--identity", "a",
+                              "--template-id", "a_1", "--bits-hex",
+                              bits_to_hex(base_bits)])
+            assert code == 0
+        before = gallery.read_bytes() if existing else None
+        distinct = base_bits.copy()
+        distinct[:256] = 1 - distinct[:256]
+        code, out, err = run(["enroll", "--gallery", str(gallery), "--bands",
+                              "", "--identity", "b", "--template-id", "b_1",
+                              "--bits-hex", bits_to_hex(distinct)])
+        assert (code, out) == (2, "")
+        assert err == ("error=invalid_input detail=[Errno 2] No such file "
+                       "or directory: ''\n")
+        if existing:
+            assert gallery.read_bytes() == before
+        else:
+            assert not gallery.exists()
 
     def test_empty_bits_hex_into_a_new_gallery(self, run, tmp_path,
                                                bands_json):
