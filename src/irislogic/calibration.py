@@ -492,13 +492,6 @@ _NEEDS_QUOTING = frozenset(',"\r\n')
 _REFUSED_CONTROLS = frozenset("\x00\x1c\x1d\x1e\x1f")
 
 
-def _table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """pieces as a fixed-width bytes array, and the length of each as
-    int32, which makes the padding mask twice as fast to build as int64."""
-    table = np.array(pieces, dtype="S")
-    return table, np.strings.str_len(table).astype(np.int32)
-
-
 def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     """Write labeled pairs as pair_id,label,score rows under that header.
 
@@ -510,7 +503,8 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     over rows: each row gathers its three pieces, id:, id and
     ,label,score, from byte tables of the templates and of the block's
     distinct (label, score) pairs, joins them into fixed-width rows and
-    drops the padding by the pieces' lengths.
+    drops every NUL byte, all of them padding: UTF-8 writes 0x00 only for
+    U+0000, which no id may hold, and labels and score reprs are ASCII.
 
     Nothing is written, and ValueError is raised, for a file the reader
     would refuse or misread: a template id that CSV would have to quote (one
@@ -530,8 +524,8 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError("pair columns must be 1-d and of equal length")
     encoded = [t.encode() for t in ids]
-    head, head_len = _table([t + b":" for t in encoded])
-    tail, tail_len = _table(encoded)
+    head = np.array([t + b":" for t in encoded], dtype="S")
+    tail = np.array(encoded, dtype="S")
     step = max(1, min(_BLOCK_ROWS,
                       _BLOCK_BYTES // (head.itemsize + tail.itemsize)))
     blocks = [tuple(c[start:start + step] for c in columns)
@@ -554,17 +548,13 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
             # + 0.0 turns -0.0 into 0.0, so every zero is written 0.0
             distinct, which = np.unique(s + 0.0, return_inverse=True)
             reprs = [repr(x) for x in distinct.tolist()]
-            ends, end_len = _table([f"{label}{r}\n".encode()
-                                    for label in labels for r in reprs])
-            key = g * len(reprs) + which
+            ends = np.array([f"{label}{r}\n".encode()
+                             for label in labels for r in reprs], dtype="S")
             rows = np.strings.add(
                 np.strings.add(np.take(head, a), np.take(tail, b)),
-                np.take(ends, key))
-            length = (np.take(head_len, a) + np.take(tail_len, b)
-                      + np.take(end_len, key))
-            chars = rows.view(np.uint8).reshape(rows.size, rows.itemsize)
-            width = np.arange(rows.itemsize, dtype=np.int32)
-            out.write(chars[width < length[:, None]])
+                np.take(ends, g * len(reprs) + which))
+            # every NUL is padding: _REFUSED_CONTROLS keeps it out of ids
+            out.write(rows.tobytes().replace(b"\0", b""))
 
 
 def write_curves_csv(curves: RateCurves, path) -> None:

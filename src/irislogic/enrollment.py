@@ -191,8 +191,11 @@ class Gallery:
     matrix, an insertion-ordered set of ids and an identity -> rows map, so
     enroll, verify and consistency_check score against it without stacking
     the templates again. One append writes all three, for the constructor and
-    for enroll alike; verify and consistency_check only read.
+    for enroll alike; verify and consistency_check only read. A gallery is
+    unhashable: its value grows with enroll, so a hash would not last.
     """
+
+    __hash__ = None
 
     bands: ScoreBands
     enrolled: tuple[Template, ...] = ()

@@ -25,6 +25,8 @@ gallery() {
 }
 
 irislogic algebra verify
+python -m irislogic algebra verify > module.out
+test "$(tail -n 1 module.out)" = "result=pass"
 irislogic simulate --identities 20 --samples-per 5 --bits 1024 \
     --flip 0.15 --seed 3 --out scores.csv
 refused "error=invalid_input detail=\[Errno 2\] No such file or directory: 'missing/x.csv'\$" \

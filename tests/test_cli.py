@@ -1012,6 +1012,16 @@ class TestTopLevel:
         assert code == 0
         assert "algebra" in out
 
+    @pytest.mark.parametrize("module", ["irislogic", "irislogic.cli"])
+    def test_module_form_runs_the_command_line(self, module):
+        src = os.path.dirname(os.path.dirname(irislogic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "algebra", "verify"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1:] == ["result=pass"]
+
     def test_console_script_smoke(self, tmp_path):
         # cli_smoke.sh as CI runs it, with shims standing in for the
         # installed console script and for python

@@ -707,6 +707,10 @@ class TestGalleryMatrix:
         assert a == b
         assert repr(a) == repr(b)
 
+    def test_gallery_is_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'Gallery'"):
+            hash(Gallery(bands=BANDS))
+
 
 
 def scalar_load_gallery(path):
