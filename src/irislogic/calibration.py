@@ -263,14 +263,17 @@ def atomic_write(path):
     """Open a UTF-8 text file that replaces path once the with-block succeeds.
 
     The text goes to a temporary file in path's directory, which os.replace
-    moves over path when the with-block finishes. If the block raises, the
-    temporary file is removed and path keeps its old bytes. A new file gets
-    the permission bits open(path, "w") would give it; an existing file
-    keeps its own. A symbolic link is followed, as open would, so the link
-    stays and its target is replaced. A path that is not a regular file (a
-    device such as /dev/null, a FIFO, /dev/stdout) is written in place, as
-    open would: there is nothing to replace atomically, and replacing it
-    would turn a device into a plain file. Newlines are not translated.
+    moves over path when the with-block finishes. The temporary file is
+    created as open(path, "w") creates a file, so a new file gets the
+    permission bits open would give it; an existing file's own are copied
+    to it. One handle owns the temporary file from creation to close: if
+    the block, the copy of the bits or the replace fails, the file is
+    closed and removed, and path keeps its old bytes. A symbolic link is
+    followed, as open would, so the link stays and its target is replaced.
+    A path that is not a regular file (a device such as /dev/null, a FIFO,
+    /dev/stdout) is written in place, as open would: there is nothing to
+    replace atomically, and replacing it would turn a device into a plain
+    file. Newlines are not translated.
     An OSError in creating, writing or replacing the file that names no file
     or the temporary one is raised again naming path as given, so a failed
     write names the file the caller asked for.
@@ -288,11 +291,11 @@ def atomic_write(path):
         path = os.path.realpath(path)
         directory, name = os.path.split(path)
         tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fh = open(tmp, "x", encoding="utf-8", newline="")
         try:
-            if mode is not None:
-                os.chmod(tmp, stat.S_IMODE(mode))
-            with open(fd, "w", encoding="utf-8", newline="") as fh:
+            with fh:
+                if mode is not None:
+                    os.chmod(tmp, stat.S_IMODE(mode))
                 yield fh
             os.replace(tmp, path)
         except BaseException:
@@ -510,7 +513,8 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     would refuse or misread: a template id that CSV would have to quote (one
     holding a comma, a double quote, CR or LF), one holding a control
     character _scan_records refuses (NUL or U+001C..U+001F), or a pair
-    whose pair_id would be longer than csv.field_size_limit().
+    whose pair_id would be longer than csv.field_size_limit(). These
+    refusals run once on whole columns; blocks are cut in the write loop.
     """
     ids = list(template_ids)
     for t in ids:
@@ -523,28 +527,25 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
                np.asarray(scores, dtype=float))
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError("pair columns must be 1-d and of equal length")
-    encoded = [t.encode() for t in ids]
-    head = np.array([t + b":" for t in encoded], dtype="S")
-    tail = np.array(encoded, dtype="S")
-    step = max(1, min(_BLOCK_ROWS,
-                      _BLOCK_BYTES // (head.itemsize + tail.itemsize)))
-    blocks = [tuple(c[start:start + step] for c in columns)
-              for start in range(0, columns[0].size, step)]
     limit = csv.field_size_limit()
     widths = np.array([len(t) for t in ids], dtype=np.int64)
     if 2 * widths.max(initial=0) + 1 > limit:   # a pair may be too long
-        for a, b, _, _ in blocks:
-            over = np.take(widths, a) + np.take(widths, b) + 1 > limit
-            if over.any():
-                k = np.argmax(over)
-                raise ValueError(
-                    f"the pair_id of templates {a[k]} and {b[k]} would be "
-                    f"longer than the field limit ({limit})")
+        a, b = columns[:2]
+        over = np.take(widths, a) + np.take(widths, b) + 1 > limit
+        if over.any():
+            k = np.argmax(over)
+            raise ValueError(f"the pair_id of templates {a[k]} and {b[k]} "
+                             f"would be longer than the field limit ({limit})")
+    tail = np.array([t.encode() for t in ids], dtype="S")
+    head = np.strings.add(tail, b":")
+    step = max(1, min(_BLOCK_ROWS,
+                      _BLOCK_BYTES // (head.itemsize + tail.itemsize)))
     labels = (f",{IMPOSTER_LABEL},", f",{GENUINE_LABEL},")
     with atomic_write(path) as fh:
         out = fh.buffer
         out.write(b"pair_id,label,score\n")
-        for a, b, g, s in blocks:
+        for start in range(0, columns[0].size, step):
+            a, b, g, s = (c[start:start + step] for c in columns)
             # + 0.0 turns -0.0 into 0.0, so every zero is written 0.0
             distinct, which = np.unique(s + 0.0, return_inverse=True)
             reprs = [repr(x) for x in distinct.tolist()]

@@ -400,7 +400,17 @@ def _string(entry, key: str) -> str:
 
 
 def save_gallery(gallery: Gallery, path) -> None:
-    """Write the gallery as a stable JSON document."""
+    """Write the gallery as a stable JSON document.
+
+    Nothing is written, and TypeError is raised, for a template whose
+    identity or template_id is not a str, which load_gallery would refuse.
+    """
+    for t in gallery.enrolled:
+        for name, value in (("template_id", t.template_id),
+                            ("identity", t.identity)):
+            if not isinstance(value, str):
+                raise TypeError(f"template {t.template_id!r}: {name} "
+                                f"{value!r} is not a str")
     n = len(gallery.enrolled)
     width = 2 * -(-(gallery.bit_length() or 0) // 8)
     # every payload in one hex call, sliced per entry

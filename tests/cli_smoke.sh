@@ -106,3 +106,4 @@ refused "error=invalid_input detail=empty12.json: not a gallery document (bit_le
     irislogic enroll --gallery empty12.json --identity alice \
     --template-id alice_1 --bits-hex b2d0
 cmp empty12.json empty12.before
+test -z "$(find . -name '.*.tmp')"

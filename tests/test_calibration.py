@@ -1,6 +1,7 @@
 """Rate curves, pessimistic envelopes, band derivation, comfort, file formats."""
 
 import csv
+import errno
 import io
 import itertools
 import math
@@ -994,6 +995,46 @@ class TestAtomicWrites:
                                  np.array([0.5]))
         finally:
             csv.field_size_limit(limit)
+        self.assert_untouched(path)
+
+    def test_scores_writer_refuses_a_long_pair_in_a_later_block(
+            self, tmp_path, monkeypatch):
+        # one row a block, and the third row's pair_id is 17 characters:
+        # the refusal covers every block, before atomic_write is reached
+        monkeypatch.setattr(calibration, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(calibration, "atomic_write", None)
+        path = self.old_file(tmp_path, "scores.csv")
+        limit = csv.field_size_limit(16)
+        try:
+            with pytest.raises(ValueError, match=r"^the pair_id of templates "
+                               r"1 and 2 would be longer than the field "
+                               r"limit \(16\)$"):
+                write_scores_csv(path, ["ok", "fine", "p" * 12],
+                                 np.array([0, 2, 1, 2]),
+                                 np.array([2, 0, 2, 1]),
+                                 np.array([False, False, True, True]),
+                                 np.array([0.5, 0.25, 0.75, 0.125]))
+        finally:
+            csv.field_size_limit(limit)
+        self.assert_untouched(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open descriptors in /proc/self/fd")
+    def test_failed_chmod_closes_the_temporary_file(self, tmp_path,
+                                                     monkeypatch):
+        path = self.old_file(tmp_path, "bands.json")
+
+        def refuse(target, mode):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM),
+                                  target)
+
+        monkeypatch.setattr(calibration.os, "chmod", refuse)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as caught:
+            write_bands_json(self.BANDS, path)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert caught.value.errno == errno.EPERM
+        assert caught.value.filename == str(path)
         self.assert_untouched(path)
 
     @pytest.mark.parametrize(

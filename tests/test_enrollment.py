@@ -900,18 +900,65 @@ class TestPersistence:
         save_gallery(gallery, path)
         assert path.read_text() == GALLERY_12_BITS
 
-    def test_failed_save_keeps_the_old_gallery(self, tmp_path, base_bits):
+    def test_failed_save_keeps_the_old_gallery(self, tmp_path, base_bits,
+                                               monkeypatch):
         alice = tpl(base_bits, "alice", "alice_1")
         path = tmp_path / "gallery.json"
         save_gallery(Gallery(bands=BANDS, enrolled=[alice]), path)
         old = path.read_bytes()
-        # an identity JSON cannot encode fails the write part-way
+
+        def unencodable(doc):
+            raise TypeError("Object of type object is not JSON serializable")
+
+        # a document JSON cannot encode fails the write part-way
+        monkeypatch.setattr(enrollment, "_json_text", unencodable)
         gallery = Gallery(bands=BANDS, enrolled=[
-            alice, flipped(base_bits, 0, 500, object(), "bob_1")])
+            alice, flipped(base_bits, 0, 500, "bob", "bob_1")])
         with pytest.raises(TypeError):
             save_gallery(gallery, path)
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["gallery.json"]
+
+    @pytest.mark.parametrize("identity, template_id, message", [
+        (7, "t_8", r"^template 't_8': identity 7 is not a str$"),
+        ("alice", 8, r"^template 8: template_id 8 is not a str$"),
+        (("alice",), "t_9",
+         r"^template 't_9': identity \('alice',\) is not a str$"),
+    ], ids=["int-identity", "int-template_id", "tuple-identity"])
+    def test_save_refuses_ids_the_loader_refuses(self, tmp_path, base_bits,
+                                                 identity, template_id,
+                                                 message):
+        # Template takes any hashable id, and enroll gates it; the gallery
+        # file holds strings only, so the save refuses before it writes
+        gallery = Gallery(bands=BANDS)
+        assert enroll(gallery, tpl(base_bits, identity, template_id)).accepted
+        path = tmp_path / "gallery.json"
+        with pytest.raises(TypeError, match=message):
+            save_gallery(gallery, path)
+        assert os.listdir(tmp_path) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(bands=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                           st.floats(0.0, 1.0, exclude_min=True,
+                                     exclude_max=True))
+           .filter(lambda b: b[0] < b[1])
+           .map(lambda b: ScoreBands(*b)),
+           entries=st.integers(1, 130).flatmap(lambda bit_length: st.lists(
+               st.tuples(st.text(), st.text(),
+                         st.lists(st.integers(0, 1), min_size=bit_length,
+                                  max_size=bit_length)),
+               max_size=5, unique_by=lambda e: e[0])))
+    def test_saved_gallery_loads_back(self, tmp_path_factory, bands,
+                                      entries):
+        gallery = Gallery(bands=bands, enrolled=[
+            tpl(bits, identity, template_id)
+            for template_id, identity, bits in entries])
+        path = tmp_path_factory.mktemp("gallery") / "gallery.json"
+        save_gallery(gallery, path)
+        loaded = load_gallery(path)
+        assert loaded.bands == bands
+        assert [(t.template_id, t.identity, t.bits.tolist())
+                for t in loaded.enrolled] == entries
 
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
