@@ -139,8 +139,11 @@ def pessimistic_envelope(grid, counts, trials: int,
     counts holds the per-threshold event counts out of `trials`
     (exceedances for the accept side, misses for the reject side). The
     rates are never below the empirical rate at any threshold and are
-    monotone in the direction proper to their side; the flag is true when
-    no fit region existed and the confidence bound stands alone.
+    monotone in the direction proper to their side. The envelope is the
+    confidence bound unless a tail line was fitted; then it is the larger
+    of the two where events were counted, and the line alone where none
+    was. The flag is true when no line was fitted (no fit region existed),
+    so the bound stands alone.
     """
     if side not in ("accept", "reject"):
         raise ValueError(f"side must be 'accept' or 'reject', got {side!r}")
@@ -149,22 +152,19 @@ def pessimistic_envelope(grid, counts, trials: int,
     empirical = counts / trials
     bound = binomial_upper_bound(counts, trials)
     line = fit_log_tail(grid, empirical, trials)
-    if line is None:
-        raw = bound
-        fallback = True
-    else:
+    raw = bound
+    if line is not None:
         slope, intercept = line
         # cap the exponent: the line blows past 1.0 inside the data bulk
         exponent = np.minimum(slope * grid + intercept, 0.0)
         extrapolated = np.power(10.0, exponent)
         raw = np.where(counts > 0, np.maximum(bound, extrapolated),
                        extrapolated)
-        fallback = False
     if side == "accept":
         mono = np.maximum.accumulate(raw[::-1])[::-1]
     else:
         mono = np.maximum.accumulate(raw)
-    return np.clip(mono, 0.0, 1.0), fallback
+    return np.clip(mono, 0.0, 1.0), line is None
 
 
 def empirical_curves(samples: LabeledScores) -> RateCurves:
@@ -200,14 +200,11 @@ def derive_bands(curves: RateCurves, target: float) -> ScoreBands:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
     below_accept = np.nonzero(curves.pofa < target)[0]
     below_reject = np.nonzero(curves.pofr < target)[0]
-    if below_accept.size == 0:
-        raise UnachievableTargetError(
-            f"target unachievable: no threshold has a pessimistic false "
-            f"accept rate under {target:g}")
-    if below_reject.size == 0:
-        raise UnachievableTargetError(
-            f"target unachievable: no threshold has a pessimistic false "
-            f"reject rate under {target:g}")
+    for side, below in (("accept", below_accept), ("reject", below_reject)):
+        if below.size == 0:
+            raise UnachievableTargetError(
+                f"target unachievable: no threshold has a pessimistic false "
+                f"{side} rate under {target:g}")
     i_accept = int(below_accept[0])
     i_reject = int(below_reject[-1])
     if i_accept != i_reject:
@@ -512,9 +509,13 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     Nothing is written, and ValueError is raised, for a file the reader
     would refuse or misread: a template id that CSV would have to quote (one
     holding a comma, a double quote, CR or LF), one holding a control
-    character _scan_records refuses (NUL or U+001C..U+001F), or a pair
-    whose pair_id would be longer than csv.field_size_limit(). These
-    refusals run once on whole columns; blocks are cut in the write loop.
+    character _scan_records refuses (NUL or U+001C..U+001F), non-empty i
+    or j columns that are not of an integer (or bool) dtype, an index
+    outside [0, len(template_ids)), which np.take would wrap or fail on
+    mid-write, a score outside [0, 1] or NaN, or a pair whose pair_id
+    would be longer than csv.field_size_limit(). An index or score
+    refusal names the first bad row and its value. These refusals run once
+    on whole columns; blocks are cut in the write loop.
     """
     ids = list(template_ids)
     for t in ids:
@@ -527,10 +528,22 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
                np.asarray(scores, dtype=float))
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError("pair columns must be 1-d and of equal length")
+    a, b, _, s = columns
+    if a.size and not (a.dtype.kind in "biu" and b.dtype.kind in "biu"):
+        raise ValueError(f"row 0: pair indices ({a.item(0)!r}, "
+                         f"{b.item(0)!r}) are not integers")
+    outside = (a < 0) | (a >= len(ids)) | (b < 0) | (b >= len(ids))
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise ValueError(f"row {r}: pair indices ({a.item(r)}, {b.item(r)}) "
+                         f"are not both in [0, {len(ids)})")
+    outside = ~((s >= 0.0) & (s <= 1.0))   # NaN fails both comparisons
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise ValueError(f"row {r}: score {s.item(r)!r} is not in [0, 1]")
     limit = csv.field_size_limit()
     widths = np.array([len(t) for t in ids], dtype=np.int64)
     if 2 * widths.max(initial=0) + 1 > limit:   # a pair may be too long
-        a, b = columns[:2]
         over = np.take(widths, a) + np.take(widths, b) + 1 > limit
         if over.any():
             k = np.argmax(over)

@@ -69,33 +69,27 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_algebra(args) -> int:
-    if args.what == "table":
-        _emit(octal_algebra.table_csv(args.op), args.out)
-        return EXIT_OK
-    if args.what == "entropy":
-        lines = ["a,e_product,e_sum"]
-        for a in octal_algebra.ELEMENTS:
-            lines.append(f"{int(a)},{octal_algebra.entropy(a, 'product')},"
-                         f"{octal_algebra.entropy(a, 'sum')}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    if args.what == "chains":
-        _emit(octal_algebra.chains_csv(), args.out)
-        return EXIT_OK
-    # args.what == "verify"
     all_ok = True
-    lines = []
-    for name, cases, ok in octal_algebra.verification_checks():
-        lines.append(f"check={name} cases={cases} "
-                     f"result={'ok' if ok else 'FAIL'}")
-        all_ok = all_ok and ok
-    lines.append(f"result={'pass' if all_ok else 'fail'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    if not all_ok:
-        where = "above" if args.out is None else f"in {args.out}"
-        return _fail("algebra_check_failed", f"see check lines {where}",
-                     EXIT_FAILURE)
-    return EXIT_OK
+    if args.what == "table":
+        text = octal_algebra.table_csv(args.op)
+    elif args.what == "entropy":
+        text = "a,e_product,e_sum\n" + "".join(
+            f"{int(a)},{octal_algebra.entropy(a, 'product')},"
+            f"{octal_algebra.entropy(a, 'sum')}\n"
+            for a in octal_algebra.ELEMENTS)
+    elif args.what == "chains":
+        text = octal_algebra.chains_csv()
+    else:   # args.what == "verify"
+        checks = octal_algebra.verification_checks()
+        all_ok = all(ok for _, _, ok in checks)
+        text = "".join(f"check={name} cases={cases} "
+                       f"result={'ok' if ok else 'FAIL'}\n"
+                       for name, cases, ok in checks)
+        text += f"result={'pass' if all_ok else 'fail'}\n"
+    _emit(text, args.out)
+    where = "above" if args.out is None else f"in {args.out}"
+    return EXIT_OK if all_ok else _fail(
+        "algebra_check_failed", f"see check lines {where}", EXIT_FAILURE)
 
 
 def _read_curves(args) -> calibration.RateCurves:

@@ -79,7 +79,11 @@ def generate_population(identities: int, samples_per_identity: int,
 
     Each identity gets a uniform random master code; every sample flips each
     master bit independently with the given probability. The same seed and
-    parameters reproduce the population bit for bit.
+    parameters reproduce the population bit for bit. The samples are drawn
+    into one (identities x samples, bit_length) matrix, identity by
+    identity, and each template's bits and packed are read-only rows of
+    that matrix and its packed form (_row_templates); Template() is not
+    called.
     """
     if identities < 1 or samples_per_identity < 1 or bit_length < 1:
         raise ValueError("identities, samples and bit_length must be >= 1")
@@ -87,14 +91,13 @@ def generate_population(identities: int, samples_per_identity: int,
         raise ValueError(
             f"flip_probability must be in [0, 0.5), got {flip_probability!r}")
     rng = np.random.default_rng(seed)
-    out: list[Template] = []
-    for i in range(identities):
+    bits = np.empty((identities * samples_per_identity, bit_length), np.uint8)
+    for samples in bits.reshape(identities, -1, bit_length):
         master = rng.integers(0, 2, size=bit_length, dtype=np.uint8)
-        for j in range(samples_per_identity):
-            flips = rng.random(bit_length) < flip_probability
-            out.append(Template(bits=master ^ flips, identity=f"id{i:04d}",
-                                template_id=f"id{i:04d}_s{j:03d}"))
-    return out
+        samples[:] = master ^ (rng.random(samples.shape) < flip_probability)
+    names = [(f"id{i:04d}", f"id{i:04d}_s{j:03d}") for i in range(identities)
+             for j in range(samples_per_identity)]
+    return _row_templates(bits, np.packbits(bits, axis=1), *zip(*names))
 
 
 def _require_bit_length(bit_length: int, other: int) -> None:
@@ -428,17 +431,20 @@ def save_gallery(gallery: Gallery, path) -> None:
         fh.write(_json_text(doc))
 
 
-def _row_templates(bits: np.ndarray, packed: np.ndarray, identities,
+def _row_templates(bits: np.ndarray, raw: np.ndarray, identities,
                    template_ids) -> list[Template]:
     """Templates whose bits and packed are read-only rows of two matrices
-    that only they reference. The caller has checked every row, and packed
-    holds the rows of bits as Template packs them, so no row is checked or
-    packed again."""
+    that only they reference. bits is a 0/1 uint8 matrix, one row per
+    template, that the caller has checked or drawn itself, and raw holds
+    its rows as np.packbits bytes; raw is padded to whole uint64 words here,
+    once, so no row is checked or packed again."""
+    packed = np.zeros((len(raw), -(-bits.shape[1] // 64) * 8), np.uint8)
+    packed[:, :raw.shape[1]] = raw
     bits.setflags(write=False)
     packed.setflags(write=False)
     templates = []
-    for row, words, identity, template_id in zip(bits, packed, identities,
-                                                  template_ids):
+    for row, words, identity, template_id in zip(
+            bits, packed.view(np.uint64), identities, template_ids):
         t = object.__new__(Template)
         # vars() skips the frozen __setattr__, as object.__setattr__ does
         vars(t).update(bits=row, identity=identity, template_id=template_id,
@@ -478,10 +484,8 @@ def load_gallery(path) -> Gallery:
             payloads.append(_payload(entry["bits"], bit_length))
             identities.append(_string(entry, "identity"))
             template_ids.append(_string(entry, "template_id"))
-        size = -(-bit_length // 8)
-        raw = np.frombuffer(b"".join(payloads), np.uint8).reshape(-1, size)
-        packed = np.zeros((len(raw), -(-bit_length // 64) * 8), np.uint8)
-        packed[:, :size] = raw
+        raw = np.frombuffer(b"".join(payloads), np.uint8).reshape(
+            len(payloads), -1)
         return Gallery(bands=bands, enrolled=_row_templates(
-            np.unpackbits(raw, axis=1, count=bit_length),
-            packed.view(np.uint64), identities, template_ids))
+            np.unpackbits(raw, axis=1, count=bit_length), raw, identities,
+            template_ids))

@@ -27,6 +27,12 @@ gallery() {
 irislogic algebra verify
 python -m irislogic algebra verify > module.out
 test "$(tail -n 1 module.out)" = "result=pass"
+# each algebra text goes to stdout and to --out as the same bytes
+for what in "table --op sum" entropy chains; do
+    irislogic algebra $what > algebra.out
+    irislogic algebra $what --out algebra.file
+    cmp algebra.out algebra.file
+done
 irislogic simulate --identities 20 --samples-per 5 --bits 1024 \
     --flip 0.15 --seed 3 --out scores.csv
 refused "error=invalid_input detail=\[Errno 2\] No such file or directory: 'missing/x.csv'\$" \

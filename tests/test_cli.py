@@ -104,6 +104,18 @@ class TestAlgebraCommand:
         assert out.splitlines() == [",".join(str(x) for x in c)
                                     for c in CHAINS]
 
+    @pytest.mark.parametrize("argv", [
+        ["table"], ["table", "--op", "sum"], ["entropy"], ["chains"],
+        ["verify"],
+    ], ids=["product", "sum", "entropy", "chains", "verify"])
+    def test_out_file_holds_the_stdout_bytes(self, run, tmp_path, argv):
+        code, out, err = run(["algebra", *argv])
+        assert (code, err) == (0, "")
+        assert out.endswith("\n")
+        path = tmp_path / "algebra.out"
+        assert run(["algebra", *argv, "--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
     def test_verify_reports_every_check(self, run_verify):
         code, out, _ = run_verify()
         assert code == 0

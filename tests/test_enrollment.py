@@ -267,6 +267,21 @@ class TestSimilarity:
         assert dac <= dab + dbc + 1e-12
 
 
+def reference_population(identities, samples_per_identity, bit_length,
+                         flip_probability, seed):
+    """Reference generator: one validating Template() per sample, drawn
+    from the random stream generate_population draws from."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(identities):
+        master = rng.integers(0, 2, size=bit_length, dtype=np.uint8)
+        for j in range(samples_per_identity):
+            flips = rng.random(bit_length) < flip_probability
+            out.append(Template(bits=master ^ flips, identity=f"id{i:04d}",
+                                template_id=f"id{i:04d}_s{j:03d}"))
+    return out
+
+
 class TestGeneratePopulation:
     def test_shape_and_naming(self):
         pop = generate_population(3, 4, 128, 0.1, seed=5)
@@ -297,6 +312,28 @@ class TestGeneratePopulation:
         # two samples differ where exactly one of them flipped
         expected = 2 * 0.15 * 0.85
         assert abs(observed - expected) < 0.02
+
+    @pytest.mark.parametrize("bit_length",
+                             [1, 7, 63, 64, 65, 130, 1024, 2048])
+    def test_matches_one_template_per_sample(self, bit_length):
+        for samples in range(1, 6):
+            args = (3, samples, bit_length, 0.2, bit_length + samples)
+            got = generate_population(*args)
+            want = reference_population(*args)
+            assert len(got) == len(want) == 3 * samples
+            for g, w in zip(got, want):
+                assert type(g) is Template
+                assert (g.identity, g.template_id) == (w.identity,
+                                                       w.template_id)
+                for name in ("bits", "packed"):
+                    a, b = getattr(g, name), getattr(w, name)
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                    assert a.tobytes() == b.tobytes()
+                    # read-only, and so is any array they view
+                    for arr in (a, b):
+                        assert not arr.flags.writeable
+                        assert arr.base is None or \
+                            not arr.base.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):
