@@ -512,10 +512,12 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     character _scan_records refuses (NUL or U+001C..U+001F), non-empty i
     or j columns that are not of an integer (or bool) dtype, an index
     outside [0, len(template_ids)), which np.take would wrap or fail on
-    mid-write, a score outside [0, 1] or NaN, or a pair whose pair_id
-    would be longer than csv.field_size_limit(). An index or score
-    refusal names the first bad row and its value. These refusals run once
-    on whole columns; blocks are cut in the write loop.
+    mid-write, a non-empty genuine column that is not of a bool or integer
+    dtype or holds an integer other than 0 and 1, a score outside [0, 1] or
+    NaN, or a pair whose pair_id would be longer than
+    csv.field_size_limit(). An index, genuine or score refusal names the
+    first bad row and its value. These refusals run once on whole columns;
+    blocks are cut in the write loop.
     """
     ids = list(template_ids)
     for t in ids:
@@ -524,11 +526,10 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
         if refused := _REFUSED_CONTROLS.intersection(t):
             raise ValueError(f"template id {t!r} holds the control "
                              f"character {min(refused)!r}")
-    columns = (np.asarray(i), np.asarray(j), np.asarray(genuine, dtype=bool),
-               np.asarray(scores, dtype=float))
-    if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+    a, b, g, s = (np.asarray(i), np.asarray(j), np.asarray(genuine),
+                  np.asarray(scores, dtype=float))
+    if len({c.shape for c in (a, b, g, s)}) != 1 or a.ndim != 1:
         raise ValueError("pair columns must be 1-d and of equal length")
-    a, b, _, s = columns
     if a.size and not (a.dtype.kind in "biu" and b.dtype.kind in "biu"):
         raise ValueError(f"row 0: pair indices ({a.item(0)!r}, "
                          f"{b.item(0)!r}) are not integers")
@@ -537,6 +538,13 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
         r = int(np.argmax(outside))
         raise ValueError(f"row {r}: pair indices ({a.item(r)}, {b.item(r)}) "
                          f"are not both in [0, {len(ids)})")
+    if g.size and g.dtype.kind not in "biu":
+        raise ValueError(f"row 0: genuine flag {g.item(0)!r} is not a bool "
+                         f"or an integer")
+    outside = (g != 0) & (g != 1)
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise ValueError(f"row {r}: genuine flag {g.item(r)!r} is not 0 or 1")
     outside = ~((s >= 0.0) & (s <= 1.0))   # NaN fails both comparisons
     if outside.any():
         r = int(np.argmax(outside))
@@ -554,6 +562,7 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     step = max(1, min(_BLOCK_ROWS,
                       _BLOCK_BYTES // (head.itemsize + tail.itemsize)))
     labels = (f",{IMPOSTER_LABEL},", f",{GENUINE_LABEL},")
+    columns = (a, b, g.astype(bool), s)
     with atomic_write(path) as fh:
         out = fh.buffer
         out.write(b"pair_id,label,score\n")

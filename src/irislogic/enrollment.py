@@ -5,6 +5,8 @@ agreeing bits. Enrollment is gated one-to-all: a candidate joins the gallery
 only if no comparison against an already-enrolled template lands in the
 uncertainty band. The gate keeps a gallery invariant that every enrolled
 pair has a crisp value, which consistency_check re-derives from scratch.
+A score is always k/L for an integer agreement count k, so the gallery
+comparisons read each band from a table of the L + 1 possible answers.
 """
 
 from __future__ import annotations
@@ -105,17 +107,18 @@ def _require_bit_length(bit_length: int, other: int) -> None:
         raise ValueError(f"bit lengths differ: {bit_length} vs {other}")
 
 
-def _scores(rows: np.ndarray, row: np.ndarray, bit_length: int) -> np.ndarray:
-    """Similarity of one packed row to each row of a stacked matrix: exact
-    agreement counts from XOR and popcount on the packed words (zero padding
-    bits never differ), over the bit length.
+def _agreements(rows: np.ndarray, row: np.ndarray,
+                bit_length: int) -> np.ndarray:
+    """Agreement counts (intp) of one packed row with each row of a stacked
+    matrix: XOR and popcount on the packed words (zero padding bits never
+    differ), subtracted from the bit length.
 
     A row's word counts are summed by a float64 matrix-vector product. Each
     partial sum is a whole number of at most bit_length, far below 2**53,
-    so it is exact in any summation order and the scores are bit for bit
-    those of an integer sum."""
+    so it is exact in any summation order and the counts are those of an
+    integer sum."""
     counts = np.bitwise_count(rows ^ row).astype(np.float64)
-    return (bit_length - counts @ np.ones(rows.shape[1])) / bit_length
+    return bit_length - (counts @ np.ones(rows.shape[1])).astype(np.intp)
 
 
 def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
@@ -136,8 +139,8 @@ def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
     scores = np.empty(i.size)
     end = 0
     for k in range(len(templates) - 1):
-        row = _scores(packed[k + 1:], packed[k], bit_length)
-        scores[end:end + row.size] = row
+        row = _agreements(packed[k + 1:], packed[k], bit_length)
+        scores[end:end + row.size] = row / bit_length
         end += row.size
     return i, j, scores
 
@@ -194,8 +197,11 @@ class Gallery:
     matrix, an insertion-ordered set of ids and an identity -> rows map, so
     enroll, verify and consistency_check score against it without stacking
     the templates again. One append writes all three, for the constructor and
-    for enroll alike; verify and consistency_check only read. A gallery is
-    unhashable: its value grows with enroll, so a hash would not last.
+    for enroll alike; verify and consistency_check only read. The first
+    append also fixes the bit length L and builds the code table: entry k is
+    the band code classify_many gives the score k/L, so a comparison is
+    classified by its exact agreement count. A gallery is unhashable: its
+    value grows with enroll, so a hash would not last.
     """
 
     __hash__ = None
@@ -211,6 +217,10 @@ class Gallery:
                                   default_factory=dict)
     _members: dict[str, list[int]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
+    # agreement count k -> band code of the score k / bit length
+    _codes: np.ndarray = field(
+        init=False, repr=False, compare=False,
+        default_factory=lambda: np.empty(0, np.uint8))
 
     def __post_init__(self) -> None:
         enrolled = tuple(self.enrolled)
@@ -225,6 +235,12 @@ class Gallery:
         """Write t's packed row, its id and its identity; the caller has
         checked t's bit length and that its id is new."""
         n = len(self._ids)
+        if not n:
+            bit_length = t.bits.size
+            codes = classify_many(np.arange(bit_length + 1) / bit_length,
+                                  self.bands)
+            codes.setflags(write=False)
+            object.__setattr__(self, "_codes", codes)
         if n == len(self._rows):
             rows = np.empty((2 * n or 1, t.packed.size), np.uint64)
             if n:
@@ -250,13 +266,13 @@ class EnrollResult:
 def _compare(gallery: Gallery,
              t: Template) -> tuple[np.ndarray, tuple[str, ...]]:
     """One-to-all comparison of t against a non-empty gallery of its bit
-    length: t's score against each enrolled template, in row order, and the
-    ids of the templates whose comparison is undecidable (O)."""
+    length: t's agreement count with each enrolled template, in row order,
+    and the ids of the templates whose comparison is undecidable (O), read
+    from the gallery's code table."""
     enrolled = gallery.enrolled
-    scores = _scores(gallery._rows[:len(enrolled)], t.packed, t.bits.size)
-    codes = classify_many(scores, gallery.bands)
-    return scores, tuple(enrolled[k].template_id
-                         for k in np.flatnonzero(codes == CODE_O))
+    agree = _agreements(gallery._rows[:len(enrolled)], t.packed, t.bits.size)
+    return agree, tuple(enrolled[k].template_id for k in
+                        np.flatnonzero(gallery._codes[agree] == CODE_O))
 
 
 def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
@@ -296,10 +312,11 @@ class VerifyResult:
 def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     """Score the probe against the whole gallery and adjudicate the claim.
 
-    The gallery is scored in one packed XOR/popcount row. The distinct
-    scores are adjudicated in one batch, each into the record decide()
-    would build, so targets with equal scores share one record. The
-    claim record is the one for the best score among the claimed identity's
+    The gallery is scored in one packed XOR/popcount row of exact
+    agreement counts. The distinct counts give the distinct scores k/L,
+    which are adjudicated in one batch, each into the record decide() would
+    build, so targets with equal scores share one record. The claim record
+    is the one for the highest count among the claimed identity's
     templates, which are scored again by similarity(); a disagreement with
     the row is a RuntimeError. Raises ValueError when the claimed identity
     is not enrolled.
@@ -309,19 +326,23 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
         raise ValueError(
             f"identity {claim.claimed_identity!r} is not enrolled")
     _require_bit_length(probe.bits.size, gallery.bit_length())
-    scores, conflicts = _compare(gallery, probe)
-    claimed_scores = [similarity(probe, gallery.enrolled[k]) for k in claimed]
-    if claimed_scores != scores[claimed].tolist():
+    agree, conflicts = _compare(gallery, probe)
+    bit_length = probe.bits.size
+    if [similarity(probe, gallery.enrolled[k]) for k in claimed] != \
+            (agree[claimed] / bit_length).tolist():
         raise RuntimeError("packed scores disagree with similarity() on the "
                            "claimed identity's templates")
-    distinct, inverse = np.unique(scores, return_inverse=True)
-    decided = _decide_many(claim, distinct, gallery.bands)
-    claim_record = decided[np.searchsorted(distinct, max(claimed_scores))]
+    distinct = np.flatnonzero(np.bincount(agree, minlength=bit_length + 1))
+    # count -> index of its record among the distinct counts
+    index = np.empty(bit_length + 1, np.intp)
+    index[distinct] = np.arange(distinct.size)
+    decided = _decide_many(claim, distinct / bit_length, gallery.bands)
+    claim_record = decided[index[agree[claimed].max()]]
     overall = Response.REPEAT if conflicts else claim_record.response
     return VerifyResult(
         overall=overall, claim_record=claim_record,
-        target_records=tuple(zip(gallery._ids,
-                                 map(decided.__getitem__, inverse.tolist()))),
+        target_records=tuple(zip(gallery._ids, map(
+            decided.__getitem__, index[agree].tolist()))),
         conflicting_ids=conflicts)
 
 
@@ -343,7 +364,8 @@ class ConsistencyReport:
 
 
 def consistency_check(gallery: Gallery) -> ConsistencyReport:
-    """Re-classify every enrolled pair from scratch, one row at a time."""
+    """Re-classify every enrolled pair from scratch, one row at a time,
+    by the code table's entry for each pair's agreement count."""
     enrolled = gallery.enrolled
     n = len(enrolled)
     rows = gallery._rows[:n]
@@ -353,10 +375,11 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
     undecidable: list[tuple[str, str, float]] = []
     ones = zeros = errors = 0
     for k in range(n - 1):
-        scores = _scores(rows[k + 1:], rows[k], bit_length)
-        codes = classify_many(scores, gallery.bands)
+        agree = _agreements(rows[k + 1:], rows[k], bit_length)
+        codes = gallery._codes[agree]
         undecidable += [(enrolled[k].template_id,
-                         enrolled[k + 1 + m].template_id, float(scores[m]))
+                         enrolled[k + 1 + m].template_id,
+                         int(agree[m]) / bit_length)
                         for m in np.flatnonzero(codes == CODE_O)]
         wrong = np.where(identities[k + 1:] == identities[k], CODE_D, CODE_I)
         errors += int((codes == wrong).sum())

@@ -78,6 +78,8 @@ hex=$(python -c "print('a5' * 128)")
 irislogic enroll --gallery gallery.json --bands bands.json \
     --identity alice --template-id alice_1 --bits-hex "$hex" > enroll.out
 grep -qx "enrolled=alice_1 gallery_size=1" enroll.out
+# the gallery file is in its canonical layout, checked without irislogic
+python -m json.tool --sort-keys --indent 2 gallery.json | cmp - gallery.json
 refused "error=duplicate_template_id " irislogic enroll \
     --gallery gallery.json --identity alice --template-id alice_1 \
     --bits-hex "$hex"

@@ -1076,6 +1076,37 @@ class TestAtomicWrites:
                           f"[0, 1]", np.array([0, 1]), np.array([1, 0]),
                           [0.5, score])
 
+    @pytest.mark.parametrize("genuine, message", [
+        # np.asarray(..., dtype=bool) read both of these as genuine rows
+        (["False", "no"], "row 0: genuine flag 'False' is not a bool or an "
+                          "integer"),
+        ([2, math.nan], "row 0: genuine flag 2.0 is not a bool or an "
+                        "integer"),
+        (np.array([1, 2]), "row 1: genuine flag 2 is not 0 or 1"),
+        (np.array([0, -1], dtype=np.int8),
+         "row 1: genuine flag -1 is not 0 or 1"),
+    ], ids=["strings", "float", "two", "minus_one"])
+    def test_scores_writer_refuses_a_genuine_flag_that_is_not_0_or_1(
+            self, tmp_path, genuine, message):
+        path = self.old_file(tmp_path, "scores.csv")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_scores_csv(path, ["a", "b"], np.array([0, 1]),
+                             np.array([1, 0]), genuine, np.array([0.5, 0.25]))
+        self.assert_untouched(path)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_scores_writer_accepts_0_1_integer_flags(self, tmp_path, dtype):
+        # 300 distinct scores: a uint8 flag times the 300 score reprs would
+        # wrap if the flags were not read as bools
+        rng = np.random.default_rng(4)
+        i, j = np.zeros(300, dtype=int), np.ones(300, dtype=int)
+        flags, scores = rng.integers(0, 2, 300), rng.random(300)
+        as_bool, as_int = tmp_path / "bool.csv", tmp_path / "int.csv"
+        write_scores_csv(as_bool, ["a", "b"], i, j, flags == 1, scores)
+        write_scores_csv(as_int, ["a", "b"], i, j, flags.astype(dtype),
+                         scores)
+        assert as_int.read_bytes() == as_bool.read_bytes()
+
     def test_scores_writer_accepts_bool_indices_zeros_and_no_rows(
             self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irislogic import enrollment
@@ -21,6 +21,7 @@ from irislogic.decision_engine import (
     classify,
     decide,
     defuzzify,
+    psi,
 )
 from irislogic.enrollment import (
     ConsistencyReport,
@@ -392,15 +393,18 @@ class TestScores:
         for probe, first in [(rng.integers(0, 2, bit_length, np.uint8), None),
                              (bits[0], 1.0), (1 - bits[0], 0.0)]:
             packed_probe = tpl(probe).packed
-            got = enrollment._scores(rows, packed_probe, bit_length)
+            got = enrollment._agreements(rows, packed_probe, bit_length)
             # the integer popcount sum the float64 product replaced
-            want = (bit_length - np.bitwise_count(rows ^ packed_probe)
-                    .sum(axis=1)) / bit_length
-            assert got.dtype == want.dtype == np.float64
+            want = bit_length - np.bitwise_count(rows ^ packed_probe).sum(
+                axis=1, dtype=np.intp)
+            assert got.dtype == want.dtype == np.intp
             assert got.shape == (count,)
             assert got.tobytes() == want.tobytes()
+            # the scores pair_scores and verify take from the counts
+            assert (got / bit_length).tolist() == \
+                [similarity(tpl(probe), tpl(b)) for b in bits[:count]]
             if count and first is not None:
-                assert got[0] == first
+                assert got[0] == first * bit_length
 
 
 class TestPartition:
@@ -652,6 +656,76 @@ class TestConsistencyCheck:
         assert report.crisp_one_count == 1
 
 
+@st.composite
+def bands_on_the_grid(draw):
+    """A bit length L in 1..2,100 and bands whose n or p (or both) is a
+    score k/L exactly; the other threshold is another k/L, a float next to
+    one, or any float that keeps n < p."""
+    bit_length = draw(st.integers(1, 2100))
+    k = draw(st.integers(0, bit_length))
+    exact = k / bit_length
+    near = st.integers(0, bit_length).map(lambda m: m / bit_length).flatmap(
+        lambda x: st.sampled_from([x, np.nextafter(x, 0.0),
+                                   np.nextafter(x, 1.0)]))
+    other = draw(st.one_of(near, st.floats(0.0, 1.0)))
+    n, p = sorted([exact, float(other)])
+    assume(n < p)
+    return bit_length, ScoreBands(n=n, p=p, target_rate=1e-6)
+
+
+class TestCodeTable:
+    """A comparison's band is read from the gallery's code table by its
+    agreement count; on every bit length and at thresholds that are scores
+    themselves, each result equals the scalar reference built from
+    similarity(), classify() and decide()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bands_on_the_grid(), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 6))
+    @example((48, ScoreBands(n=0.625, p=0.75, target_rate=1e-6)), 0, 6)
+    @example((48, ScoreBands(n=0.5, p=0.625, target_rate=1e-6)), 1, 6)
+    @example((1, ScoreBands(n=0.0, p=1.0, target_rate=1e-6)), 2, 3)
+    @example((2100, ScoreBands(n=1 / 3, p=2 / 3, target_rate=1e-6)), 3, 6)
+    def test_matches_the_scalar_reference(self, grid, seed, count):
+        bit_length, bands = grid
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 2, bit_length, dtype=np.uint8)
+        # prefix flips: templates flipped in their first d and e bits
+        # disagree in |d - e| bits, so the thresholds' own counts and
+        # their neighbours all occur among the pairs
+        at = [round(x * bit_length) for x in (bands.n, bands.p)]
+        flips = [0] + [bit_length - a + s for a in at for s in (-1, 0, 1)]
+        flips += rng.integers(0, bit_length + 1, count).tolist()
+        pool = []
+        for k, d in enumerate(f for f in flips if 0 <= f <= bit_length):
+            bits = base.copy()
+            bits[:d] ^= 1
+            pool.append(tpl(bits, f"id{rng.integers(3)}", f"t{k}"))
+        rng.shuffle(pool)
+        *templates, probe = pool
+
+        gated = Gallery(bands=bands)
+        for t in templates:
+            expected = tuple(
+                e.template_id for e in gated.enrolled
+                if classify(similarity(t, e), bands) == MODAL_O)
+            result = enroll(gated, t)
+            assert result.conflicting_ids == expected
+            assert result.accepted == (not expected)
+        assert gated._codes.tolist() == [
+            int(psi(classify(k / bit_length, bands)))
+            for k in range(bit_length + 1)]
+
+        whole = Gallery(bands=bands, enrolled=templates)
+        assert consistency_check(whole) == scalar_consistency(templates,
+                                                              bands)
+        for polarity in Polarity:
+            for identity in sorted(whole.identities()):
+                claim = Claim(polarity, identity)
+                assert verify(whole, probe, claim) == \
+                    scalar_verify(whole, probe, claim)
+
+
 def outcome(call, *args):
     try:
         return call(*args)
@@ -743,6 +817,36 @@ class TestGalleryMatrix:
         b = Gallery(bands=BANDS, enrolled=a.enrolled)
         assert a == b
         assert repr(a) == repr(b)
+        # the code table is private state too
+        assert "_codes" not in repr(a)
+        object.__setattr__(b, "_codes", np.full_like(b._codes, 7))
+        assert a == b
+        assert repr(a) == repr(b)
+
+    def test_code_table_is_the_same_however_the_gallery_is_built(
+            self, tmp_path, base_bits):
+        templates = [tpl(base_bits, "alice", "alice_1"),
+                     flipped(base_bits, 0, 100, "alice", "alice_2"),
+                     flipped(base_bits, 0, 500, "bob", "bob_1")]
+        grown = Gallery(bands=BANDS)
+        assert grown._codes.size == 0
+        assert enroll(grown, templates[0]).accepted
+        table = grown._codes
+        for t in templates[1:]:
+            assert enroll(grown, t).accepted
+        assert grown._codes is table   # built once, on the first append
+        save_gallery(grown, tmp_path / "g.json")
+        want = [int(psi(classify(k / 1000, BANDS))) for k in range(1001)]
+        # 0.6 and 0.75 are k/1000 scores: D and I at the thresholds
+        assert want[600] == psi(MODAL_D) and want[601] == psi(MODAL_O)
+        assert want[749] == psi(MODAL_O) and want[750] == psi(MODAL_I)
+        for gallery in (grown, Gallery(bands=BANDS, enrolled=templates),
+                        load_gallery(tmp_path / "g.json")):
+            assert gallery._codes.dtype == np.uint8
+            assert gallery._codes.tolist() == want
+            assert not gallery._codes.flags.writeable
+        save_gallery(Gallery(bands=BANDS), tmp_path / "empty.json")
+        assert load_gallery(tmp_path / "empty.json")._codes.size == 0
 
     def test_gallery_is_unhashable(self):
         with pytest.raises(TypeError, match="unhashable type: 'Gallery'"):
