@@ -157,7 +157,7 @@ def classify_many(scores, bands: ScoreBands) -> np.ndarray:
 
 
 # per polarity, psi code of the outcome -> (modal, response, output octal,
-# meaning): the one table decide() and _decide_many() build records from
+# meaning): the one table decide() and enrollment.verify build records from
 _ROWS = {
     polarity: {int(psi(modal)): (modal, response, *output_encoding(modal)[::2])
                for modal, response in [(MODAL_I, on_i),
@@ -193,16 +193,6 @@ def decide(claim: Claim, score: float, bands: ScoreBands) -> DecisionRecord:
     """
     modal = classify(score, bands)
     return _record(claim, float(score), _ROWS[claim.polarity][_CODES[modal]])
-
-
-def _decide_many(claim: Claim, scores: np.ndarray,
-                 bands: ScoreBands) -> list[DecisionRecord]:
-    """decide() for each score of a 1-d float64 array, in order: records
-    equal to decide()'s, classified at once by classify_many."""
-    rows = _ROWS[claim.polarity]
-    codes = classify_many(scores, bands)
-    return [_record(claim, score, rows[code])
-            for score, code in zip(scores.tolist(), codes.tolist())]
 
 
 #: crisp value of an undecidable outcome

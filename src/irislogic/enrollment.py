@@ -26,7 +26,8 @@ from .decision_engine import (
     DecisionRecord,
     Response,
     ScoreBands,
-    _decide_many,
+    _record,
+    _ROWS,
     classify,  # unused here; kept bound for the benchmark's tracer
     classify_many,
     decide,  # unused here; kept bound for the benchmark's tracer
@@ -41,9 +42,9 @@ class Template:
     """One enrolled or candidate binary code.
 
     bits is the template's own read-only copy of the code. packed holds the
-    same bits as np.packbits bytes, zero-padded to whole uint64 words, the
-    form the XOR/popcount scoring reads; it is read-only too, because a
-    gallery copies it once into its own matrix.
+    same bits as uint64 words (_words), the form the XOR/popcount scoring
+    reads; it is read-only too, because a gallery copies it once into its
+    own matrix.
     """
 
     bits: np.ndarray
@@ -58,13 +59,22 @@ class Template:
         # a cast from other dtypes would wrap 256 to 0 and cut 0.9 to 0
         if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("bits must contain only 0 and 1")
-        arr = raw.astype(np.uint8)
-        arr.setflags(write=False)
-        packed = np.zeros(-(-arr.size // 64) * 8, dtype=np.uint8)
-        packed[:-(-arr.size // 8)] = np.packbits(arr)
-        packed.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-        object.__setattr__(self, "packed", packed.view(np.uint64))
+        # a fresh one-row matrix: no array that bits[0] views stays writable
+        bits = raw[None].astype(np.uint8)
+        packed = _words(bits, np.packbits(bits, axis=1))
+        object.__setattr__(self, "bits", bits[0])
+        object.__setattr__(self, "packed", packed[0])
+
+
+def _words(bits: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """The uint64 word matrix of templates' bits: raw holds the rows of the
+    0/1 uint8 matrix bits as np.packbits bytes, zero-padded here to whole
+    words. bits and the word matrix are made read-only."""
+    packed = np.zeros((len(raw), -(-bits.shape[1] // 64) * 8), np.uint8)
+    packed[:, :raw.shape[1]] = raw
+    bits.setflags(write=False)
+    packed.setflags(write=False)
+    return packed.view(np.uint64)
 
 
 def similarity(a: Template, b: Template) -> float:
@@ -313,13 +323,12 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     """Score the probe against the whole gallery and adjudicate the claim.
 
     The gallery is scored in one packed XOR/popcount row of exact
-    agreement counts. The distinct counts give the distinct scores k/L,
-    which are adjudicated in one batch, each into the record decide() would
-    build, so targets with equal scores share one record. The claim record
-    is the one for the highest count among the claimed identity's
-    templates, which are scored again by similarity(); a disagreement with
-    the row is a RuntimeError. Raises ValueError when the claimed identity
-    is not enrolled.
+    agreement counts. Each distinct count k gets, from the gallery's code
+    table, the record decide() would build for the score k/L, so targets
+    with equal scores share one record. The claim record is the one for the
+    highest count among the claimed identity's templates, which are scored
+    again by similarity(); a disagreement with the row is a RuntimeError.
+    Raises ValueError when the claimed identity is not enrolled.
     """
     claimed = gallery._members.get(claim.claimed_identity)
     if not claimed:
@@ -336,7 +345,9 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     # count -> index of its record among the distinct counts
     index = np.empty(bit_length + 1, np.intp)
     index[distinct] = np.arange(distinct.size)
-    decided = _decide_many(claim, distinct / bit_length, gallery.bands)
+    rows = _ROWS[claim.polarity]
+    decided = [_record(claim, k / bit_length, rows[code]) for k, code in
+               zip(distinct.tolist(), gallery._codes[distinct].tolist())]
     claim_record = decided[index[agree[claimed].max()]]
     overall = Response.REPEAT if conflicts else claim_record.response
     return VerifyResult(
@@ -365,12 +376,14 @@ class ConsistencyReport:
 
 def consistency_check(gallery: Gallery) -> ConsistencyReport:
     """Re-classify every enrolled pair from scratch, one row at a time,
-    by the code table's entry for each pair's agreement count."""
+    by the code table's entry for each pair's agreement count. A row's label
+    is its key in the identity map: identities compare by equality."""
     enrolled = gallery.enrolled
     n = len(enrolled)
     rows = gallery._rows[:n]
-    _, identities = np.unique([t.identity for t in enrolled],
-                              return_inverse=True)
+    labels = np.empty(n, np.intp)
+    for label, members in enumerate(gallery._members.values()):
+        labels[members] = label
     bit_length = gallery.bit_length()
     undecidable: list[tuple[str, str, float]] = []
     ones = zeros = errors = 0
@@ -381,7 +394,7 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
                          enrolled[k + 1 + m].template_id,
                          int(agree[m]) / bit_length)
                         for m in np.flatnonzero(codes == CODE_O)]
-        wrong = np.where(identities[k + 1:] == identities[k], CODE_D, CODE_I)
+        wrong = np.where(labels[k + 1:] == labels[k], CODE_D, CODE_I)
         errors += int((codes == wrong).sum())
         ones += int((codes == CODE_I).sum())
         zeros += int((codes == CODE_D).sum())
@@ -459,15 +472,10 @@ def _row_templates(bits: np.ndarray, raw: np.ndarray, identities,
     """Templates whose bits and packed are read-only rows of two matrices
     that only they reference. bits is a 0/1 uint8 matrix, one row per
     template, that the caller has checked or drawn itself, and raw holds
-    its rows as np.packbits bytes; raw is padded to whole uint64 words here,
-    once, so no row is checked or packed again."""
-    packed = np.zeros((len(raw), -(-bits.shape[1] // 64) * 8), np.uint8)
-    packed[:, :raw.shape[1]] = raw
-    bits.setflags(write=False)
-    packed.setflags(write=False)
+    its rows as np.packbits bytes, so no row is checked or packed again."""
     templates = []
     for row, words, identity, template_id in zip(
-            bits, packed.view(np.uint64), identities, template_ids):
+            bits, _words(bits, raw), identities, template_ids):
         t = object.__new__(Template)
         # vars() skips the frozen __setattr__, as object.__setattr__ does
         vars(t).update(bits=row, identity=identity, template_id=template_id,

@@ -1,10 +1,8 @@
 """Banding, claim adjudication, output rows, and defuzzification."""
 
-from dataclasses import FrozenInstanceError
-
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irislogic.decision_engine import (
@@ -13,11 +11,9 @@ from irislogic.decision_engine import (
     CODE_O,
     UNDECIDABLE,
     Claim,
-    DecisionRecord,
     Polarity,
     Response,
     ScoreBands,
-    _decide_many,
     classify,
     classify_many,
     decide,
@@ -128,53 +124,6 @@ def test_decide_is_consistent_with_classify(score, polarity):
     assert record.output_meaning == expected_meaning
 
 
-# the band edges and their float neighbours, where >= and <= decide
-EDGES = [0.0, -0.0, 1.0, *(x for t in (BANDS.n, BANDS.p)
-                           for x in (np.nextafter(t, 0.0), t,
-                                     np.nextafter(t, 1.0)))]
-
-
-@given(st.lists(st.one_of(st.sampled_from(EDGES), scores)),
-       st.sampled_from(list(Polarity)))
-@example(EDGES, Polarity.POSITIVE)
-@example(EDGES, Polarity.NEGATIVE)
-def test_decide_many_builds_decides_records(batch, polarity):
-    claim = Claim(polarity=polarity, claimed_identity="u1")
-    records = _decide_many(claim, np.array(batch, dtype=np.float64), BANDS)
-    assert len(records) == len(batch)
-    for record, score in zip(records, batch):
-        want = decide(claim, float(score), BANDS)
-        # the same values through the dataclass __init__
-        constructed = DecisionRecord(**vars(want))
-        for got in (record, want):
-            # field by field, in declaration order, with the same types
-            assert [(k, type(v), v) for k, v in vars(got).items()] == \
-                [(k, type(v), v) for k, v in vars(constructed).items()]
-            assert (got, hash(got), repr(got), got.to_record()) == \
-                (want, hash(want), repr(want), want.to_record())
-            with pytest.raises(FrozenInstanceError):
-                got.score = 0.5
-
-
-SCALAR_TYPES = [np.float16, np.float32, np.float64, float]
-
-
-@given(st.lists(scores), st.sampled_from(SCALAR_TYPES),
-       st.sampled_from([-0.01, 1.01, -np.inf, np.inf, np.nan,
-                        float(np.nextafter(1.0, 2.0)),
-                        float(np.nextafter(0.0, -1.0))]),
-       st.lists(st.one_of(scores, st.just(np.nan))))
-def test_decide_many_refuses_as_decide_does(before, kind, bad, after):
-    bad = kind(bad)
-    assume(not 0.0 <= bad <= 1.0)   # a float16 rounds 1 + ulp back to 1
-    claim = Claim(polarity=Polarity.POSITIVE, claimed_identity="u1")
-    with pytest.raises(ValueError) as want:
-        decide(claim, bad, BANDS)
-    with pytest.raises(ValueError) as got:
-        _decide_many(claim, np.array(before + [bad] + after), BANDS)
-    assert str(got.value) == str(want.value)
-
-
 def test_record_line_format():
     claim = Claim(polarity=Polarity.POSITIVE, claimed_identity="X")
     record = decide(claim, 0.45, BANDS)
@@ -266,6 +215,7 @@ NARROW = ScoreBands(n=0.6137, p=0.6329, target_rate=1e-4)
 NARROW_EDGES = [float(x) for t in (NARROW.n, NARROW.p)
                 for x in (t, np.nextafter(np.float32(t), np.float32(0.0)),
                           np.nextafter(np.float32(t), np.float32(1.0)))]
+SCALAR_TYPES = [np.float16, np.float32, np.float64, float]
 
 
 @given(st.sampled_from(SCALAR_TYPES),
@@ -276,8 +226,9 @@ NARROW_EDGES = [float(x) for t in (NARROW.n, NARROW.p)
 def test_scalar_decide_agrees_with_batch(kind, value, polarity):
     score = kind(value)
     claim = Claim(polarity=polarity, claimed_identity="u1")
-    want = decide(claim, score, NARROW)
-    [got] = _decide_many(claim, np.array([score], dtype=np.float64), NARROW)
-    assert [(k, type(v), v) for k, v in vars(got).items()] == \
-        [(k, type(v), v) for k, v in vars(want).items()]
-    assert got.to_record() == want.to_record()
+    record = decide(claim, score, NARROW)
+    [code] = classify_many(np.array([score], dtype=np.float64), NARROW)
+    assert psi(record.modal) == code
+    # the record holds the float64 value that classify_many compared
+    assert type(record.score) is float
+    assert record.score == np.float64(score)

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from irislogic import enrollment
+from irislogic import decision_engine, enrollment
 from irislogic.calibration import _bands_from_doc, _reading
 from irislogic.decision_engine import (
     Claim,
+    DecisionRecord,
     Polarity,
     Response,
     ScoreBands,
@@ -558,6 +559,38 @@ class TestVerify:
         assert verify(gallery, probe, claim) == \
             scalar_verify(gallery, probe, claim)
 
+    @pytest.mark.parametrize("polarity", list(Polarity))
+    def test_records_are_the_ones_decide_builds(self, polarity):
+        # n and p are scores k/L: targets land on both thresholds and on
+        # either side of each
+        bands = ScoreBands(n=16 / 40, p=30 / 40, target_rate=1e-6)
+        base = np.random.default_rng(4).integers(0, 2, 40, dtype=np.uint8)
+        gallery = Gallery(bands=bands, enrolled=[
+            flipped(base, 0, d, f"id{d % 2}", f"t{d}")
+            for d in (0, 9, 10, 11, 23, 24, 25, 40)])
+        probe = tpl(base, "id1", "probe")
+        claim = Claim(polarity, "id1")
+        result = verify(gallery, probe, claim)
+        scores = [similarity(probe, t) for t in gallery.enrolled]
+        pairs = [(result.claim_record,
+                  max(s for s, t in zip(scores, gallery.enrolled)
+                      if t.identity == "id1"))]
+        pairs += [(rec, s) for (_, rec), s in zip(result.target_records,
+                                                   scores)]
+        assert {rec.modal for rec, _ in pairs} == {MODAL_I, MODAL_O, MODAL_D}
+        for record, score in pairs:
+            want = decide(claim, score, bands)
+            # the same values through the dataclass __init__
+            constructed = DecisionRecord(**vars(want))
+            for got in (record, want):
+                # field by field, in declaration order, with the same types
+                assert [(k, type(v), v) for k, v in vars(got).items()] == \
+                    [(k, type(v), v) for k, v in vars(constructed).items()]
+                assert (got, hash(got), repr(got), got.to_record()) == \
+                    (want, hash(want), repr(want), want.to_record())
+                with pytest.raises(FrozenInstanceError):
+                    got.score = 0.5
+
     def test_packed_row_checked_against_similarity(self, gallery, base_bits,
                                                    monkeypatch):
         honest = enrollment.similarity
@@ -645,6 +678,20 @@ class TestConsistencyCheck:
         assert report.crisp_one_count == sum(v for v, _ in crisp)
         assert report.crisp_zero_count == sum(1 - v for v, _ in crisp)
         assert report.recognition_errors == sum(v != t for v, t in crisp)
+
+    @pytest.mark.parametrize("identities, errors", [
+        ((1, "1"), 1),   # unequal ids that print alike
+        ((("x", "y"), ("y", "x"), ("x", "y")), 2),   # ids with the same parts
+    ])
+    def test_identities_compare_by_equality(self, base_bits, identities,
+                                            errors):
+        # every pair scores 0.9 or 0.95 (I), so each pair of unequal
+        # identities is a recognition error
+        templates = [flipped(base_bits, 0, 50 * k, identity, f"t{k}")
+                     for k, identity in enumerate(identities)]
+        report = consistency_check(Gallery(bands=BANDS, enrolled=templates))
+        assert report == scalar_consistency(templates, BANDS)
+        assert report.recognition_errors == errors
 
     def test_recognition_error_does_not_fail_the_check(self, base_bits):
         # two labels share a code: crisp 1 against distinct identities
@@ -847,6 +894,35 @@ class TestGalleryMatrix:
             assert not gallery._codes.flags.writeable
         save_gallery(Gallery(bands=BANDS), tmp_path / "empty.json")
         assert load_gallery(tmp_path / "empty.json")._codes.size == 0
+
+    def test_a_built_gallery_calls_no_classifier(self, base_bits,
+                                                 monkeypatch):
+        # the code table answers every comparison once the first append
+        # has built it
+        gallery = Gallery(bands=BANDS, enrolled=[
+            tpl(base_bits, "alice", "alice_1"),
+            flipped(base_bits, 0, 500, "bob", "bob_1")])
+
+        def refuse(*args):
+            raise AssertionError("a classifier was called")
+
+        for module in (decision_engine, enrollment):
+            for name in ("classify", "classify_many"):
+                monkeypatch.setattr(module, name, refuse)
+        admitted = flipped(base_bits, 0, 100, "alice", "alice_2")
+        refused = flipped(base_bits, 0, 300, "carol", "carol_1")   # 0.7: O
+        results = [enroll(gallery, admitted), enroll(gallery, refused)]
+        probe = flipped(base_bits, 0, 350, "alice", "probe")
+        claims = [Claim(polarity, "alice") for polarity in Polarity]
+        results += [verify(gallery, probe, claim) for claim in claims]
+        results.append(consistency_check(gallery))
+        monkeypatch.undo()
+        assert results == [
+            enrollment.EnrollResult(accepted=True),
+            enrollment.EnrollResult(accepted=False,
+                                    conflicting_ids=("alice_1",)),
+            *(scalar_verify(gallery, probe, claim) for claim in claims),
+            scalar_consistency(gallery.enrolled, BANDS)]
 
     def test_gallery_is_unhashable(self):
         with pytest.raises(TypeError, match="unhashable type: 'Gallery'"):
