@@ -53,6 +53,8 @@ class Template:
     packed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if any(x != x for x in (self.identity, self.template_id)):
+            raise ValueError("identity and template_id must equal themselves")
         raw = np.asarray(self.bits)
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("bits must be a non-empty 1-d array")
@@ -123,12 +125,13 @@ def _agreements(rows: np.ndarray, row: np.ndarray,
     matrix: XOR and popcount on the packed words (zero padding bits never
     differ), subtracted from the bit length.
 
-    A row's word counts are summed by a float64 matrix-vector product. Each
-    partial sum is a whole number of at most bit_length, far below 2**53,
-    so it is exact in any summation order and the counts are those of an
-    integer sum."""
-    counts = np.bitwise_count(rows ^ row).astype(np.float64)
-    return bit_length - (counts @ np.ones(rows.shape[1])).astype(np.intp)
+    A row's word counts are summed by a matrix-vector product, in float32
+    while bit_length < 2**24 and in float64 from there on. Each partial sum
+    is a whole number of at most bit_length, so it is exact in any
+    summation order and the counts are those of an integer sum."""
+    dtype = np.float32 if bit_length < 1 << 24 else np.float64
+    counts = np.bitwise_count(rows ^ row).astype(dtype)
+    return bit_length - (counts @ np.ones(row.size, dtype)).astype(np.intp)
 
 
 def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
@@ -346,14 +349,16 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     index = np.empty(bit_length + 1, np.intp)
     index[distinct] = np.arange(distinct.size)
     rows = _ROWS[claim.polarity]
-    decided = [_record(claim, k / bit_length, rows[code]) for k, code in
-               zip(distinct.tolist(), gallery._codes[distinct].tolist())]
+    # distinct / L holds the same correctly rounded floats as each k / L
+    decided = np.fromiter(map(
+        _record, [claim] * distinct.size, (distinct / bit_length).tolist(),
+        map(rows.__getitem__, gallery._codes[distinct].tolist())),
+        object, distinct.size)
     claim_record = decided[index[agree[claimed].max()]]
     overall = Response.REPEAT if conflicts else claim_record.response
     return VerifyResult(
-        overall=overall, claim_record=claim_record,
-        target_records=tuple(zip(gallery._ids, map(
-            decided.__getitem__, index[agree].tolist()))),
+        overall=overall, claim_record=claim_record, target_records=tuple(
+            zip(gallery._ids, decided[index[agree]].tolist())),
         conflicting_ids=conflicts)
 
 

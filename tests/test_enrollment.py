@@ -194,6 +194,15 @@ class TestTemplate:
 
         assert outcome(one_rule) == outcome(two_way)
 
+    @pytest.mark.parametrize("key", ["identity", "template_id"])
+    @pytest.mark.parametrize("bad", [float("nan"), np.float64("nan")])
+    def test_ids_must_equal_themselves(self, base_bits, key, bad):
+        # a dict finds such an id by object identity, an == scan never: the
+        # gallery paths and the scalar references would disagree on it
+        ids = {"identity": "x", "template_id": "x_1", key: bad}
+        with pytest.raises(ValueError, match="equal themselves"):
+            Template(bits=base_bits, **ids)
+
     def test_bits_coerced_to_uint8(self):
         t = tpl([0, 1, 1, 0])
         assert t.bits.dtype == np.uint8
@@ -408,6 +417,28 @@ class TestScores:
                 assert got[0] == first * bit_length
 
 
+    def test_exact_past_the_float32_integer_range(self):
+        # about 2 MB a row: from 2**24 on, float32 cannot hold every whole
+        # number up to L, and a float32 sum of the word counts rounds
+        bit_length = 2 ** 24 + 65
+        used = -(-bit_length // 8)
+        raw = np.zeros((3, -(-bit_length // 64) * 8), np.uint8)
+        raw[0, :used] = np.random.default_rng(24).integers(0, 256, used)
+        raw[1, :used] = ~raw[0, :used]
+        raw[2, :used] = np.random.default_rng(25).integers(0, 256, used)
+        # zero padding bits: the last used byte keeps its top bit only
+        raw[:, used - 1] &= 0xFF << -bit_length % 8 & 0xFF
+        rows = raw.view(np.uint64)
+        assert enrollment._agreements(rows[:2], rows[0], bit_length).tolist() \
+            == [bit_length, 0]
+        assert enrollment._agreements(rows[:2], rows[1], bit_length).tolist() \
+            == [0, bit_length]
+        want = bit_length - np.bitwise_count(rows ^ rows[2]).sum(
+            axis=1, dtype=np.intp)
+        assert enrollment._agreements(rows, rows[2], bit_length).tolist() \
+            == want.tolist()
+
+
 class TestPartition:
     def test_counts_and_tags(self):
         scores = [0.9, 0.8, 0.75, 0.7, 0.65, 0.6, 0.5, 0.2]
@@ -536,6 +567,14 @@ class TestVerify:
             verify(gallery, tpl(base_bits, "eve", "probe"),
                    Claim(Polarity.POSITIVE, "eve"))
 
+    def test_claim_unequal_to_itself_is_not_enrolled(self, gallery,
+                                                     base_bits):
+        # no template can hold it, so verify refuses it as the reference does
+        claim = Claim(Polarity.POSITIVE, float("nan"))
+        for check in (verify, scalar_verify):
+            with pytest.raises(ValueError, match="not enrolled"):
+                check(gallery, tpl(base_bits, "alice", "probe"), claim)
+
     def test_equal_scores_share_one_record(self, base_bits):
         g = Gallery(bands=BANDS, enrolled=[
             tpl(base_bits, "alice", "alice_1"),
@@ -590,6 +629,39 @@ class TestVerify:
                     (want, hash(want), repr(want), want.to_record())
                 with pytest.raises(FrozenInstanceError):
                     got.score = 0.5
+
+    @pytest.mark.parametrize("polarity", list(Polarity))
+    def test_result_is_plain_python(self, polarity):
+        # records are gathered through a numpy object array; none of it, nor
+        # a numpy score, may reach the caller
+        bands = ScoreBands(n=16 / 40, p=30 / 40, target_rate=1e-6)
+        base = np.random.default_rng(4).integers(0, 2, 40, dtype=np.uint8)
+        gallery = Gallery(bands=bands, enrolled=[
+            flipped(base, 0, d, f"id{d % 2}", f"t{d}")
+            for d in (0, 9, 10, 11, 23, 24, 25, 40)])
+        probe = tpl(base, "id1", "probe")
+        result = verify(gallery, probe, Claim(polarity, "id1"))
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                for v in value:
+                    yield from leaves(v)
+            elif isinstance(value, (VerifyResult, DecisionRecord, Claim)):
+                for v in vars(value).values():
+                    yield from leaves(v)
+            else:
+                yield value
+
+        targets = result.target_records
+        assert type(targets) is tuple
+        assert [tuple(map(type, pair)) for pair in targets] == \
+            [(str, DecisionRecord)] * len(gallery.enrolled)
+        assert {type(rec.score) for _, rec in targets} == {float}
+        assert not [v for v in leaves(result)
+                    if isinstance(v, (np.ndarray, np.generic))]
+        best = max((t for t in gallery.enrolled if t.identity == "id1"),
+                   key=lambda t: similarity(probe, t))
+        assert result.claim_record is dict(targets)[best.template_id]
 
     def test_packed_row_checked_against_similarity(self, gallery, base_bits,
                                                    monkeypatch):
