@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .decision_engine import (
     classify_many,
     decide,  # unused here; kept bound for the benchmark's tracer
     defuzzify,  # unused here; kept bound for the benchmark's tracer
-    psi,
+    psi,  # unused here; kept bound for the benchmark's tracer
 )
-from .octal_algebra import MODAL_D, MODAL_I, MODAL_O, Octal, sum_
+from .octal_algebra import BOTTOM, Octal, sum_
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +164,8 @@ class PartitionReport:
     """Pair counts per band, with the algebra tags of the three regions.
 
     icp covers every comparison pair; the enrollable part (eicp) holds the
-    crisp I and D pairs, the undecidable part (uicp) the O pairs. The tags
-    are derived in the algebra: the enrollable tag is the supremum of the
-    I and D codes, and joining it with the O code recovers the full tag.
+    crisp I and D pairs, the undecidable part (uicp) the O pairs. Each tag
+    is the join (sum_) of the band codes its region holds, BOTTOM if none.
     """
 
     icp_count: int
@@ -178,24 +178,22 @@ class PartitionReport:
     uicp_tag: Octal
 
 
+def _tally(counts: np.ndarray) -> PartitionReport:
+    """The partition of pairs of which counts[c] have the band code c."""
+    def join(*codes) -> Octal:
+        return reduce(sum_, (c for c in codes if counts[c]), BOTTOM)
+    i, o, d = map(int, counts[[CODE_I, CODE_O, CODE_D]])
+    return PartitionReport(
+        icp_count=i + o + d, eicp_count=i + d, uicp_count=o,
+        genuine_count=i, imposter_count=d,
+        icp_tag=join(CODE_I, CODE_O, CODE_D), eicp_tag=join(CODE_I, CODE_D),
+        uicp_tag=join(CODE_O))
+
+
 def partition(scores, bands: ScoreBands) -> PartitionReport:
     """Split pair scores into enrollable (I or D) and undecidable (O)."""
-    codes = classify_many(scores, bands)
-    genuine = int((codes == CODE_I).sum())
-    imposter = int((codes == CODE_D).sum())
-    uncertain = codes.size - genuine - imposter
-    eicp_tag = sum_(psi(MODAL_I), psi(MODAL_D))
-    uicp_tag = psi(MODAL_O)
-    return PartitionReport(
-        icp_count=genuine + imposter + uncertain,
-        eicp_count=genuine + imposter,
-        uicp_count=uncertain,
-        genuine_count=genuine,
-        imposter_count=imposter,
-        icp_tag=sum_(eicp_tag, uicp_tag),
-        eicp_tag=eicp_tag,
-        uicp_tag=uicp_tag,
-    )
+    return _tally(np.bincount(np.ravel(classify_many(scores, bands)),
+                              minlength=8))
 
 
 @dataclass(frozen=True)
@@ -391,7 +389,7 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
         labels[members] = label
     bit_length = gallery.bit_length()
     undecidable: list[tuple[str, str, float]] = []
-    ones = zeros = errors = 0
+    bins = np.zeros(16, np.intp)
     for k in range(n - 1):
         agree = _agreements(rows[k + 1:], rows[k], bit_length)
         codes = gallery._codes[agree]
@@ -399,15 +397,15 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
                          enrolled[k + 1 + m].template_id,
                          int(agree[m]) / bit_length)
                         for m in np.flatnonzero(codes == CODE_O)]
-        wrong = np.where(labels[k + 1:] == labels[k], CODE_D, CODE_I)
-        errors += int((codes == wrong).sum())
-        ones += int((codes == CODE_I).sum())
-        zeros += int((codes == CODE_D).sum())
-    return ConsistencyReport(passed=not undecidable,
-                             pair_count=n * (n - 1) // 2,
-                             undecidable_pairs=tuple(undecidable),
-                             crisp_one_count=ones, crisp_zero_count=zeros,
-                             recognition_errors=errors)
+        bins += np.bincount(codes + 8 * (labels[k + 1:] == labels[k]),
+                            minlength=16)
+    tally = _tally(bins[:8] + bins[8:])
+    return ConsistencyReport(
+        passed=not tally.uicp_tag, pair_count=tally.icp_count,
+        undecidable_pairs=tuple(undecidable),
+        crisp_one_count=tally.genuine_count,
+        crisp_zero_count=tally.imposter_count,
+        recognition_errors=int(bins[CODE_I] + bins[8 + CODE_D]))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ TOP = Octal(7)
 # core operations on the integer representation
 
 
+@cache
 def neg(a: int) -> Octal:
     """Complement: the unique b with a + b = 7."""
     return Octal(7 - Octal(a))
@@ -63,8 +64,8 @@ def product(a: int, b: int) -> Octal:
 
     Uses only modulo and order comparisons, never a native bitwise
     operator, so that product_oracle stays an independent construction.
-    Each distinct pair is computed once: verification_checks asks for the
-    64 products of the elements thousands of times.
+    product, sum_ and neg are each cached: verification_checks asks for
+    the 64 products, 64 sums and 8 complements thousands of times.
     """
     a, b = Octal(a), Octal(b)
     c = 0
@@ -75,6 +76,7 @@ def product(a: int, b: int) -> Octal:
     return Octal(c)
 
 
+@cache
 def sum_(a: int, b: int) -> Octal:
     """Supremum of two elements, defined from the product by complementarity."""
     return neg(product(neg(a), neg(b)))

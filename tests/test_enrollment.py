@@ -4,12 +4,14 @@ import json
 import os
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from irislogic import decision_engine, enrollment
 from irislogic.calibration import _bands_from_doc, _reading
@@ -41,7 +43,7 @@ from irislogic.enrollment import (
     similarity,
     verify,
 )
-from irislogic.octal_algebra import MODAL_D, MODAL_I, MODAL_O
+from irislogic.octal_algebra import BOTTOM, MODAL_D, MODAL_I, MODAL_O, sum_
 
 from table_data import GALLERY_12_BITS
 
@@ -439,6 +441,26 @@ class TestScores:
             == want.tolist()
 
 
+@st.composite
+def scores_and_bands(draw):
+    """Any valid bands, and scores in [0, 1], the thresholds among them, as
+    a list, a scalar or a 2-d array."""
+    n, p = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    assume(n < p)
+    score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([n, p]))
+    scores = draw(st.one_of(
+        st.lists(score, max_size=20), score,
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                min_side=0, max_side=5),
+                   elements=score)))
+    return scores, ScoreBands(n=n, p=p, target_rate=1e-6)
+
+
+def joined(codes):
+    """The join of psi codes, BOTTOM for none: the reference tag."""
+    return reduce(sum_, codes, BOTTOM)
+
+
 class TestPartition:
     def test_counts_and_tags(self):
         scores = [0.9, 0.8, 0.75, 0.7, 0.65, 0.6, 0.5, 0.2]
@@ -465,6 +487,24 @@ class TestPartition:
         for bad in (-0.01, 1.01, float("nan")):
             with pytest.raises(ValueError, match="score must be in"):
                 partition([0.5, bad], BANDS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores_and_bands())
+    @example(([0.9], BANDS))
+    @example(([0.1, 0.2], BANDS))
+    @example(([], BANDS))
+    def test_tags_are_the_joins_of_the_codes_held(self, case):
+        scores, bands = case
+        codes = [psi(classify(s, bands)) for s in np.ravel(scores).tolist()]
+        i, o, d = (psi(m) for m in (MODAL_I, MODAL_O, MODAL_D))
+        report = partition(scores, bands)
+        assert (report.icp_count, report.eicp_count, report.uicp_count,
+                report.genuine_count, report.imposter_count) == (
+            len(codes), codes.count(i) + codes.count(d), codes.count(o),
+            codes.count(i), codes.count(d))
+        assert (report.icp_tag, report.eicp_tag, report.uicp_tag) == (
+            joined(codes), joined(c for c in codes if c != o),
+            joined(c for c in codes if c == o))
 
 
 class TestEnroll:
@@ -773,6 +813,78 @@ class TestConsistencyCheck:
         assert report.passed
         assert report.recognition_errors == 1
         assert report.crisp_one_count == 1
+
+
+@st.composite
+def small_galleries(draw):
+    """Templates of L = 8..64 bits, prefix flips of one code, so that their
+    scores spread over all bands, under bands whose n and p are scores
+    k/L; the last template is kept apart as a probe."""
+    bit_length = draw(st.integers(8, 64))
+    low, high = sorted(draw(st.lists(st.integers(0, bit_length), min_size=2,
+                                     max_size=2, unique=True)))
+    bands = ScoreBands(n=low / bit_length, p=high / bit_length,
+                       target_rate=1e-6)
+    base = np.array(draw(st.lists(st.integers(0, 1), min_size=bit_length,
+                                  max_size=bit_length)), np.uint8)
+    flips = draw(st.lists(st.integers(0, bit_length), min_size=2,
+                          max_size=8))
+    templates = []
+    for k, f in enumerate(flips):
+        bits = base.copy()
+        bits[:f] ^= 1
+        templates.append(tpl(bits, f"id{draw(st.integers(0, 2))}", f"t{k}"))
+    *enrolled, probe = templates
+    return bands, enrolled, probe
+
+
+def o_bit(scores, bands):
+    """Whether the partition of scores holds an undecidable pair, read as
+    the O bit of its uicp tag."""
+    return partition(scores, bands).uicp_tag == psi(MODAL_O)
+
+
+class TestTheOBitOfTheJoin:
+    """The gate, verify and the audit each answer what the O bit of the
+    join of the scores' codes says: the 3-valued decision is read in the
+    8-valued algebra."""
+
+    @staticmethod
+    def check(bands, templates, probe):
+        gated = Gallery(bands=bands)
+        for t in templates:
+            scores = [similarity(t, e) for e in gated.enrolled]
+            assert (not enroll(gated, t).accepted) == o_bit(scores, bands)
+        for gallery in (gated, Gallery(bands=bands, enrolled=templates)):
+            scores = [similarity(probe, e) for e in gallery.enrolled]
+            for identity in gallery.identities():
+                for polarity in Polarity:
+                    overall = verify(gallery, probe,
+                                     Claim(polarity, identity)).overall
+                    assert (overall is Response.REPEAT) == o_bit(scores,
+                                                                bands)
+            pairs = [similarity(a, b)
+                     for a, b in combinations(gallery.enrolled, 2)]
+            assert consistency_check(gallery).passed == \
+                (partition(pairs, bands).uicp_tag == BOTTOM)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_galleries())
+    def test_on_small_galleries(self, case):
+        self.check(*case)
+
+    def test_on_the_criterion_9_intruder_gallery(self):
+        # acceptance criterion 9's last gallery and its intruder
+        population = generate_population(4, 3, 512, 0.05, 99)
+        bits = population[0].bits.copy()
+        bits[:166] = 1 - bits[:166]
+        intruder = Template(bits=bits, identity="intruder",
+                            template_id="intruder_1")
+        self.check(BANDS, population + [intruder], intruder)
+        # not vacuous: the intruder's scores hold an O, and the audit fails
+        assert o_bit([similarity(intruder, t) for t in population], BANDS)
+        assert not consistency_check(
+            Gallery(bands=BANDS, enrolled=population + [intruder])).passed
 
 
 @st.composite

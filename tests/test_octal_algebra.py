@@ -416,14 +416,21 @@ class TestVerificationChecks:
         assert all(cases > 0 for _, cases, _ in rows)
 
     def test_each_product_is_computed_once(self):
-        product.cache_clear()
+        # and each sum and complement: all three are cached
+        ops = (product, sum_, neg)
+        for op in ops:
+            op.cache_clear()
         verification_checks()
-        misses = product.cache_info().misses
-        assert misses <= 64
+        misses = [op.cache_info().misses for op in ops]
+        assert misses[0] <= 64 and misses[1] <= 64 and misses[2] <= 8
         for a, b in PAIRS:
             formula = sum(2 ** k * (a % 2 ** (k + 1) >= 2 ** k)
                           * (b % 2 ** (k + 1) >= 2 ** k) for k in range(3))
             assert product(a, b) == formula
             assert type(product(a, b)) is Octal
-        # every pair was cached by the checks: none of the calls missed
-        assert product.cache_info().misses == misses
+            assert sum_(a, b) == 7 - product(7 - a, 7 - b)
+            assert type(sum_(a, b)) is Octal
+        for a in ELEMENTS:
+            assert neg(a) == 7 - a and type(neg(a)) is Octal
+        # every argument was cached by the checks: none of the calls missed
+        assert [op.cache_info().misses for op in ops] == misses
