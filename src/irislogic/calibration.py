@@ -318,11 +318,23 @@ def _reading(path, kind: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+#: the score-file dialect write_scores_csv and _scan_records share; numpy
+#: reads the refused controls differently from Python (a label loses a NUL
+#: at its end, and numpy's float parser strips U+001C..U+001F from a score)
+_HEADER = ("pair_id", "label", "score")
+_NEEDS_QUOTING = frozenset(',"\r\n')
+_REFUSED_CONTROLS = frozenset("\x00\x1c\x1d\x1e\x1f")
+#: _scan_records' class of each byte, 0 for content, as is every byte > _LAST
+_SEP, _QUOTE, _REFUSED = 1, 2, 3
+_CLASS = np.array([_QUOTE if c == '"' else _SEP if c in _NEEDS_QUOTING
+                   else _REFUSED if c in _REFUSED_CONTROLS else 0
+                   for c in map(chr, range(256))], dtype=np.uint8)
+_LAST = max(map(ord, _NEEDS_QUOTING | _REFUSED_CONTROLS))
 _SCAN_BYTES = 1 << 18
-_SEPARATORS = (ord(","), ord("\n"), ord("\r"))
 #: labels are read as Latin-1 bytes, one wider than the longest label, so
 #: a longer label, cut to that width, still differs from both
-_ROW = np.dtype([("label", "S9"), ("score", "f8")])
+_ROW = np.dtype([("label", (np.bytes_, 1 + max(
+    len(GENUINE_LABEL), len(IMPOSTER_LABEL)))), ("score", "f8")])
 
 
 def _line_of(fh, offset: int) -> int:
@@ -345,11 +357,8 @@ def _scan_records(fh, need: int) -> int:
     ends a field and CR, LF or CRLF a record; empty records are skipped and
     not counted. Raises ValueError naming the line for a record with fewer
     than need fields, a field longer than csv.field_size_limit(), or a
-    control character numpy would read differently from Python: NUL, which
-    a fixed-width label loses at its end, or U+001C..U+001F, which numpy's
-    float parser strips from a score and float() does not. Blocks of about
-    _SCAN_BYTES end at a line feed, so no quote run or UTF-8 sequence spans
-    two blocks.
+    character of _REFUSED_CONTROLS. Blocks of about _SCAN_BYTES end at a
+    line feed, so no quote run or UTF-8 sequence spans two blocks.
     """
     limit = csv.field_size_limit()
     base = 0       # characters in the blocks before this one
@@ -366,12 +375,10 @@ def _scan_records(fh, need: int) -> int:
         a = np.frombuffer(block, dtype=np.uint8)
         if a.max() >= 0x80:   # keep one byte per character
             a = a[(a & 0xC0) != 0x80]
-        at = np.flatnonzero(a <= ord(","))   # every byte looked at below
-        c = a[at]
-        control = at[(c == 0) | ((c >= 0x1C) & (c <= 0x1F))]
-        quotes = at[c == ord('"')]
-        is_sep = np.isin(c, _SEPARATORS)
-        sep, ends = at[is_sep], c[is_sep] != ord(",")
+        at = np.flatnonzero(a <= _LAST)   # every byte looked at below
+        c = _CLASS[a[at]]
+        control, quotes, sep = (at[c == k] for k in (_REFUSED, _QUOTE, _SEP))
+        ends = a[sep] != ord(",")
         sep_dropped = np.full(sep.size, dropped)
         if quotes.size or inside:
             # a run of k quotes opens a field at its start (after a
@@ -382,7 +389,7 @@ def _scan_records(fh, need: int) -> int:
             first = np.diff(quotes, prepend=-2) > 1
             start = quotes[first]
             k = np.diff(np.append(np.flatnonzero(first), quotes.size))
-            opens = (start == 0) | np.isin(a[start - 1], _SEPARATORS)
+            opens = (start == 0) | (_CLASS[a[start - 1]] == _SEP)
             odd = k % 2 == 1
             toggles = np.cumsum(odd & opens)
             reset = np.maximum.accumulate(
@@ -458,10 +465,9 @@ def read_scores_csv(path) -> LabeledScores:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
         columns = {name: k for k, name in enumerate(header)}
         try:
-            pair, label, score = (columns[name]
-                                  for name in ("pair_id", "label", "score"))
+            pair, label, score = (columns[name] for name in _HEADER)
         except KeyError:
-            raise ValueError("expected header pair_id,label,score") from None
+            raise ValueError(f"expected header {','.join(_HEADER)}") from None
         rows = np.empty(0, dtype=_ROW)
         if _scan_records(fh, max(pair, label, score) + 1) > 1:
             fh.seek(0)
@@ -487,13 +493,10 @@ _BLOCK_ROWS = 1 << 16
 #: a block holds fewer rows when its ids are so long that _BLOCK_ROWS
 #: rows, padded to the longest pair of ids, would take more bytes
 _BLOCK_BYTES = 1 << 22
-_NEEDS_QUOTING = frozenset(',"\r\n')
-#: the characters _scan_records refuses in any field
-_REFUSED_CONTROLS = frozenset("\x00\x1c\x1d\x1e\x1f")
 
 
 def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
-    """Write labeled pairs as pair_id,label,score rows under that header.
+    """Write labeled pairs as rows under _HEADER: pair_id, label, score.
 
     Row k is pair template_ids[i[k]]:template_ids[j[k]], labeled genuine
     where genuine[k] is true and imposter elsewhere, with score
@@ -507,17 +510,16 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     U+0000, which no id may hold, and labels and score reprs are ASCII.
 
     Nothing is written, and ValueError is raised, for a file the reader
-    would refuse or misread: a template id that CSV would have to quote (one
-    holding a comma, a double quote, CR or LF), one holding a control
-    character _scan_records refuses (NUL or U+001C..U+001F), non-empty i
-    or j columns that are not of an integer (or bool) dtype, an index
-    outside [0, len(template_ids)), which np.take would wrap or fail on
-    mid-write, a non-empty genuine column that is not of a bool or integer
-    dtype or holds an integer other than 0 and 1, a score outside [0, 1] or
-    NaN, or a pair whose pair_id would be longer than
-    csv.field_size_limit(). An index, genuine or score refusal names the
-    first bad row and its value. These refusals run once on whole columns;
-    blocks are cut in the write loop.
+    would refuse or misread: a template id holding a character CSV would
+    have to quote (_NEEDS_QUOTING) or one _scan_records refuses
+    (_REFUSED_CONTROLS), non-empty i or j columns that are not of an
+    integer (or bool) dtype, an index outside [0, len(template_ids)), which
+    np.take would wrap or fail on mid-write, a non-empty genuine column
+    that is not of a bool or integer dtype or holds an integer other than 0
+    and 1, a score outside [0, 1] or NaN, or a pair whose pair_id would be
+    longer than csv.field_size_limit(). An index, genuine or score refusal
+    names the first bad row and its value. These refusals run once on whole
+    columns; blocks are cut in the write loop.
     """
     ids = list(template_ids)
     for t in ids:
@@ -565,7 +567,7 @@ def write_scores_csv(path, template_ids, i, j, genuine, scores) -> None:
     columns = (a, b, g.astype(bool), s)
     with atomic_write(path) as fh:
         out = fh.buffer
-        out.write(b"pair_id,label,score\n")
+        out.write(f"{','.join(_HEADER)}\n".encode())
         for start in range(0, columns[0].size, step):
             a, b, g, s = (c[start:start + step] for c in columns)
             # + 0.0 turns -0.0 into 0.0, so every zero is written 0.0

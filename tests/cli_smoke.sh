@@ -80,6 +80,12 @@ irislogic enroll --gallery gallery.json --bands bands.json \
 grep -qx "enrolled=alice_1 gallery_size=1" enroll.out
 # the gallery file is in its canonical layout, checked without irislogic
 python -m json.tool --sort-keys --indent 2 gallery.json | cmp - gallery.json
+# so is one whose identity JSON escapes: a non-ASCII character and a quote
+irislogic enroll --gallery escaped.json --bands bands.json \
+    --identity 'zoë "z"' --template-id zoe_1 --bits-hex "$hex" > enroll.out
+grep -qx "enrolled=zoe_1 gallery_size=1" enroll.out
+grep -qF '\"z\"' escaped.json
+python -m json.tool --sort-keys --indent 2 escaped.json | cmp - escaped.json
 refused "error=duplicate_template_id " irislogic enroll \
     --gallery gallery.json --identity alice --template-id alice_1 \
     --bits-hex "$hex"

@@ -46,7 +46,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids relative to the repository
 
 
+CALIBRATION = "irislogic/calibration.py"
 ENROLLMENT = "irislogic/enrollment.py"
+TEST_CALIBRATION = "tests/test_calibration.py"
 TEST_ENROLLMENT = "tests/test_enrollment.py"
 
 MUTANTS = [
@@ -83,6 +85,49 @@ MUTANTS = [
     Mutant("verify: min in place of max of the claimed counts", ENROLLMENT,
            "agree[claimed].max()", "agree[claimed].min()",
            (f"{TEST_ENROLLMENT}::TestVerify",)),
+    # one per class of the score scan's byte table
+    Mutant("score scan: U+001F is read as content", CALIBRATION,
+           "_REFUSED if c in _REFUSED_CONTROLS else 0",
+           "_REFUSED if c in _REFUSED_CONTROLS - {'\\x1f'} else 0",
+           (f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_and_reader_refuse_the_same_controls",)),
+    Mutant("score scan: CR is not a separator", CALIBRATION,
+           "_SEP if c in _NEEDS_QUOTING",
+           "_SEP if c in _NEEDS_QUOTING - {'\\r'}",
+           (f"{TEST_CALIBRATION}::TestFileFormats",)),
+    Mutant("score scan: the quote is read as a separator", CALIBRATION,
+           "_QUOTE if c == '\"'", "_SEP if c == '\"'",
+           (f"{TEST_CALIBRATION}::TestFileFormats",)),
+    # from the open harvest list
+    Mutant("_payload: non-zero padding bits are accepted", ENROLLMENT,
+           "or raw and raw[-1] & padding:", ":",
+           (f"{TEST_ENROLLMENT}::TestPersistence::"
+            "test_hex_padding_must_be_zero",)),
+    Mutant("_words: bits is left writable", ENROLLMENT,
+           "    bits.setflags(write=False)\n", "",
+           (f"{TEST_ENROLLMENT}::TestTemplate::"
+            "test_bits_are_a_read_only_copy",)),
+    Mutant("atomic_write: the permission bits are not copied", CALIBRATION,
+           "os.chmod(tmp, stat.S_IMODE(mode))", "pass",
+           (f"{TEST_CALIBRATION}::TestAtomicWrites::test_permission_bits",)),
+    Mutant("write_scores_csv: a negative pair index is accepted",
+           CALIBRATION, "outside = (a < 0) | (a >= len(ids)) | (b < 0) | ",
+           "outside = (a >= len(ids)) | ",
+           (f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_refuses_a_negative_index",)),
+    Mutant("pessimistic_envelope: the tail line alone where events were "
+           "counted", CALIBRATION,
+           "np.where(counts > 0, np.maximum(bound, extrapolated),",
+           "np.where(counts > 0, extrapolated,",
+           (f"{TEST_CALIBRATION}::TestPessimisticEnvelope",)),
+    Mutant("derive_bands: the refusal names the other side", CALIBRATION,
+           '(("accept", below_accept), ("reject", below_reject))',
+           '(("reject", below_accept), ("accept", below_reject))',
+           (f"{TEST_CALIBRATION}::TestDeriveBands::"
+            "test_unachievable_message_names_the_stuck_side",)),
+    Mutant("consistency_check: every row has one label", ENROLLMENT,
+           "labels[members] = label", "labels[members] = 0",
+           (f"{TEST_ENROLLMENT}::TestConsistencyCheck",)),
 ]
 
 
@@ -114,7 +159,8 @@ def run(mutant: Mutant) -> dict:
                                    f"{mutant.name!r}:\n{proc.stdout}"
                                    f"{proc.stderr}")
             status = "survived" if proc.returncode == 0 else "killed"
-            failed = re.search(r"^(?:FAILED|ERROR) ([^:\s]+)(\S*)",
+            # the node id runs to " - " and the message, or to the line end
+            failed = re.search(r"^(?:FAILED|ERROR) ([^:\s]+)(.*?)(?: - |$)",
                                proc.stdout, re.MULTILINE)
             if failed:
                 # pytest prints the path relative to the temporary directory

@@ -384,19 +384,22 @@ class TestDeriveBands:
             self, population, flip, seeds, target):
         # simulate's marginals are exact (see truth.py), read through the
         # library's own >= on k / L
-        outcomes = truth.iid_outcomes([(population, flip, seeds)], [target])
+        outcomes = truth.outcomes(truth.iid, [(population, flip, seeds)],
+                                  [target])
         assert not [o for o in outcomes if o.missed]
 
     @pytest.mark.parametrize("cases", [
         truth.ROADMAP_LIST,
-        pytest.param(truth.HELD_OUT_LIST, marks=pytest.mark.xfail(
+        *(pytest.param(cases, marks=pytest.mark.xfail(
             strict=True, reason="envelopes are not pessimistic where no "
-            "event was seen (ROADMAP item 1)")),
-    ], ids=["roadmap", "held_out"])
+            "event was seen (ROADMAP item 1)")) for cases in (
+                truth.HELD_OUT_LIST, truth.MENAGERIE_LIST,
+                truth.CORRELATED_LIST)),
+    ], ids=["roadmap", "held_out", "menagerie", "correlated"])
     def test_derived_bands_rarely_miss_the_true_rates(self, cases):
         # a 95% bound may be exceeded by chance, so the gate is a share:
         # misses at most 5% of the cases that give bands
-        given, missed, _ = truth.tally(truth.iid_outcomes(*cases))
+        given, missed, _ = truth.tally(truth.outcomes(*cases))
         assert missed <= 0.05 * given
 
 
@@ -1158,8 +1161,8 @@ class TestAtomicWrites:
     def test_scores_writer_and_reader_refuse_the_same_controls(self,
                                                                 tmp_path,
                                                                 char):
-        # the rule is spelled twice, in the writer's _REFUSED_CONTROLS and
-        # in the reader's scan; what the writer writes must read back
+        # the writer and the reader's scan both read _REFUSED_CONTROLS;
+        # what the writer writes must read back
         t = f"a{char}b"
         text = (f"pair_id,label,score\n{t}:c,genuine,0.5\n"
                 f"c:{t},imposter,0.25\n").encode()

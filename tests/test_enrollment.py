@@ -1361,6 +1361,34 @@ class TestPersistence:
         assert [(t.template_id, t.identity, t.bits.tolist())
                 for t in loaded.enrolled] == entries
 
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.integers(1, 130).flatmap(lambda bit_length: st.lists(
+        st.tuples(*[st.text(st.characters(exclude_categories=()))] * 2,
+                  st.lists(st.integers(0, 1), min_size=bit_length,
+                           max_size=bit_length)),
+        max_size=5, unique_by=lambda e: e[0])))
+    @example(entries=[])
+    @example(entries=[('"q"\\b', "\x00\x1f\u2028", [1]),
+                      ("\U0001f600", "\ud800\x7f", [0])])
+    def test_saved_layout_is_the_json_dumps_of_what_loads(
+            self, tmp_path_factory, entries):
+        # the reference a faster writer must match, over ids from all of
+        # Unicode, lone surrogates (category Cs) included
+        path = tmp_path_factory.mktemp("gallery") / "gallery.json"
+        save_gallery(Gallery(bands=BANDS, enrolled=[
+            tpl(bits, identity, template_id)
+            for template_id, identity, bits in entries]), path)
+        loaded = load_gallery(path)
+        doc = {"bands": {"n": repr(loaded.bands.n), "p": repr(loaded.bands.p),
+                         "target_rate": repr(loaded.bands.target_rate)},
+               "bit_length": loaded.bit_length(),
+               "templates": [{"bits": bits_to_hex(t.bits),
+                              "identity": t.identity,
+                              "template_id": t.template_id}
+                             for t in loaded.enrolled]}
+        assert path.read_bytes() == (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"templates": []}))
