@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -132,7 +132,15 @@ def _agreements(rows: np.ndarray, row: np.ndarray,
     summation order and the counts are those of an integer sum."""
     dtype = np.float32 if bit_length < 1 << 24 else np.float64
     counts = np.bitwise_count(rows ^ row).astype(dtype)
-    return bit_length - (counts @ np.ones(row.size, dtype)).astype(np.intp)
+    return bit_length - (counts @ _ones(row.size, dtype)).astype(np.intp)
+
+
+@cache
+def _ones(size: int, dtype) -> np.ndarray:
+    """_agreements' read-only ones vector, one per word count and dtype."""
+    ones = np.ones(size, dtype)
+    ones.setflags(write=False)
+    return ones
 
 
 def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
@@ -211,8 +219,9 @@ class Gallery:
     for enroll alike; verify and consistency_check only read. The first
     append also fixes the bit length L and builds the code table: entry k is
     the band code classify_many gives the score k/L, so a comparison is
-    classified by its exact agreement count. A gallery is unhashable: its
-    value grows with enroll, so a hash would not last.
+    classified by its exact agreement count, and the O table (_undecidable)
+    marks the counts whose code is O. A gallery is unhashable: its value
+    grows with enroll, so a hash would not last.
     """
 
     __hash__ = None
@@ -232,6 +241,9 @@ class Gallery:
     _codes: np.ndarray = field(
         init=False, repr=False, compare=False,
         default_factory=lambda: np.empty(0, np.uint8))
+    _undecidable: np.ndarray = field(
+        init=False, repr=False, compare=False,
+        default_factory=lambda: np.empty(0, bool))
 
     def __post_init__(self) -> None:
         enrolled = tuple(self.enrolled)
@@ -250,8 +262,11 @@ class Gallery:
             bit_length = t.bits.size
             codes = classify_many(np.arange(bit_length + 1) / bit_length,
                                   self.bands)
+            undecidable = codes == CODE_O
             codes.setflags(write=False)
+            undecidable.setflags(write=False)
             object.__setattr__(self, "_codes", codes)
+            object.__setattr__(self, "_undecidable", undecidable)
         if n == len(self._rows):
             rows = np.empty((2 * n or 1, t.packed.size), np.uint64)
             if n:
@@ -274,16 +289,21 @@ class EnrollResult:
     conflicting_ids: tuple[str, ...] = ()
 
 
+# frozen and equal by value, so every admitted candidate can share it
+_ADMITTED = EnrollResult(accepted=True)
+
+
 def _compare(gallery: Gallery,
              t: Template) -> tuple[np.ndarray, tuple[str, ...]]:
     """One-to-all comparison of t against a non-empty gallery of its bit
     length: t's agreement count with each enrolled template, in row order,
     and the ids of the templates whose comparison is undecidable (O), read
-    from the gallery's code table."""
+    from the gallery's O table."""
     enrolled = gallery.enrolled
     agree = _agreements(gallery._rows[:len(enrolled)], t.packed, t.bits.size)
-    return agree, tuple(enrolled[k].template_id for k in
-                        np.flatnonzero(gallery._codes[agree] == CODE_O))
+    hits = np.flatnonzero(gallery._undecidable[agree])
+    return agree, (tuple([enrolled[k].template_id for k in hits.tolist()])
+                   if hits.size else ())
 
 
 def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
@@ -302,7 +322,7 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
             return EnrollResult(accepted=False, conflicting_ids=conflicts)
     gallery._append(candidate)
     object.__setattr__(gallery, "enrolled", gallery.enrolled + (candidate,))
-    return EnrollResult(accepted=True)
+    return _ADMITTED
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ example database there. A mutant is
 
 The output is a JSON list, one object per mutant, with its name, file,
 tests, status, the first failing test id (null if none) and the seconds
-taken. A survivor is a finding for a new test; a mutant is never deleted
-or weakened to get a clean file. pytest does not collect this script.
+taken. The script exits 1 when any mutant survived or is stale, else 0.
+A survivor is a finding for a new test; a mutant is never deleted or
+weakened to get a clean file. pytest does not collect this script.
 """
 
 from __future__ import annotations
@@ -128,6 +129,70 @@ MUTANTS = [
     Mutant("consistency_check: every row has one label", ENROLLMENT,
            "labels[members] = label", "labels[members] = 0",
            (f"{TEST_ENROLLMENT}::TestConsistencyCheck",)),
+    # what the gate now builds once and shares
+    Mutant("O table: marks the counts whose code is D", ENROLLMENT,
+           "undecidable = codes == CODE_O", "undecidable = codes == CODE_D",
+           (f"{TEST_ENROLLMENT}::TestGalleryMatrix::"
+            "test_code_table_is_the_same_however_the_gallery_is_built",
+            f"{TEST_ENROLLMENT}::TestEnroll::"
+            "test_gate_matches_scalar_reference")),
+    Mutant("_compare: no conflicting ids even when a comparison is O",
+           ENROLLMENT,
+           "return agree, (tuple([enrolled[k].template_id for k in "
+           "hits.tolist()])\n                   if hits.size else ())",
+           "return agree, ()",
+           (f"{TEST_ENROLLMENT}::TestEnroll::"
+            "test_admitted_results_are_one_frozen_value",
+            f"{TEST_ENROLLMENT}::TestEnroll::"
+            "test_gate_rejects_uncertain_comparison")),
+    Mutant("_ones: the cached ones vector is left writable", ENROLLMENT,
+           "    ones.setflags(write=False)\n", "",
+           (f"{TEST_ENROLLMENT}::TestScores::"
+            "test_ones_vector_is_made_once_and_read_only",)),
+    # from the open harvest list
+    Mutant("_row_templates: identity and template_id are swapped",
+           ENROLLMENT, "identity=identity, template_id=template_id,",
+           "identity=template_id, template_id=identity,",
+           (f"{TEST_ENROLLMENT}::TestGeneratePopulation::"
+            "test_shape_and_naming",
+            f"{TEST_ENROLLMENT}::TestPersistence::"
+            "test_loader_matches_scalar_loader")),
+    Mutant("verify: records from the other polarity's rows", ENROLLMENT,
+           "rows = _ROWS[claim.polarity]",
+           "rows = _ROWS[next(p for p in _ROWS if p != claim.polarity)]",
+           (f"{TEST_ENROLLMENT}::TestVerify::test_negative_claim_inverts",
+            f"{TEST_ENROLLMENT}::TestVerify::test_golden_requests")),
+    Mutant("write_scores_csv: a float index column is accepted",
+           CALIBRATION, 'a.dtype.kind in "biu" and b.dtype.kind in "biu"',
+           'a.dtype.kind in "biuf" and b.dtype.kind in "biuf"',
+           (f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_refuses_a_float_index_column",)),
+    Mutant("write_scores_csv: a genuine flag of 2 is accepted", CALIBRATION,
+           "outside = (g != 0) & (g != 1)",
+           "outside = (g != 0) & (g != 1) & (g != 2)",
+           (f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_refuses_a_genuine_flag_that_is_not_0_or_1",)),
+    Mutant("write_scores_csv: a NaN score is accepted", CALIBRATION,
+           "outside = ~((s >= 0.0) & (s <= 1.0))",
+           "outside = (s < 0.0) | (s > 1.0)",
+           (f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_refuses_a_score_outside_the_unit_interval",
+            f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_refuses_every_score_outside_the_unit_"
+            "interval")),
+    Mutant("write_scores_csv: a pair_id one character over the field limit "
+           "is accepted", CALIBRATION, "np.take(widths, b) + 1 > limit",
+           "np.take(widths, b) > limit",
+           (f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_refuses_ids_that_need_quoting",
+            f"{TEST_CALIBRATION}::TestAtomicWrites::"
+            "test_scores_writer_refuses_a_long_pair_in_a_later_block")),
+    Mutant("score scan: the quote state is reset at each block", CALIBRATION,
+           "        a = np.frombuffer(block, dtype=np.uint8)\n",
+           "        inside = 0\n"
+           "        a = np.frombuffer(block, dtype=np.uint8)\n",
+           (f"{TEST_CALIBRATION}::TestFileFormats::"
+            "test_scan_block_size_changes_nothing",)),
 ]
 
 
@@ -172,6 +237,11 @@ def run(mutant: Mutant) -> dict:
             "seconds": round(time.perf_counter() - start, 2)}
 
 
+def exit_status(results) -> int:
+    """The gauge's exit status: 1 when a mutant survived or is stale."""
+    return int(any(r["status"] != "killed" for r in results))
+
+
 def gauge(mutants, out: Path) -> list[dict]:
     """Run every mutant in turn and write the results to out as JSON."""
     results = []
@@ -186,4 +256,4 @@ def gauge(mutants, out: Path) -> list[dict]:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
-    gauge(MUTANTS, parser.parse_args().out)
+    sys.exit(exit_status(gauge(MUTANTS, parser.parse_args().out)))

@@ -28,6 +28,7 @@ from irislogic.decision_engine import (
 )
 from irislogic.enrollment import (
     ConsistencyReport,
+    EnrollResult,
     Gallery,
     Template,
     VerifyResult,
@@ -440,6 +441,15 @@ class TestScores:
         assert enrollment._agreements(rows, rows[2], bit_length).tolist() \
             == want.tolist()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ones_vector_is_made_once_and_read_only(self, dtype):
+        # every _agreements call of a word count and dtype shares this one
+        ones = enrollment._ones(17, dtype)
+        assert ones.dtype == dtype and ones.tolist() == [1.0] * 17
+        with pytest.raises(ValueError, match="read-only"):
+            ones[0] = 2
+        assert enrollment._ones(17, dtype) is ones
+
 
 @st.composite
 def scores_and_bands(draw):
@@ -559,6 +569,23 @@ class TestEnroll:
         assert result.conflicting_ids == expected
         assert result.accepted == (not expected)
         assert len(gallery.enrolled) == len(enrolled) + result.accepted
+
+    def test_admitted_results_are_one_frozen_value(self, base_bits):
+        gallery = Gallery(bands=BANDS)
+        admitted = [enroll(gallery, tpl(base_bits, "alice", "alice_1")),
+                    enroll(gallery, flipped(base_bits, 0, 100, "alice",
+                                            "alice_2"))]
+        # 0.7 against alice_1 is O, 0.8 against alice_2 is I
+        refused = enroll(gallery, flipped(base_bits, 0, 300, "mallory",
+                                          "mallory_1"))
+        assert refused == EnrollResult(accepted=False,
+                                       conflicting_ids=("alice_1",))
+        for result in admitted:
+            assert result == EnrollResult(accepted=True)
+            assert result.conflicting_ids == ()
+            with pytest.raises(FrozenInstanceError):
+                result.accepted = False
+        assert len(gallery.enrolled) == 2
 
 
 class TestVerify:
@@ -1048,11 +1075,12 @@ class TestGalleryMatrix:
         b = Gallery(bands=BANDS, enrolled=a.enrolled)
         assert a == b
         assert repr(a) == repr(b)
-        # the code table is private state too
-        assert "_codes" not in repr(a)
-        object.__setattr__(b, "_codes", np.full_like(b._codes, 7))
-        assert a == b
-        assert repr(a) == repr(b)
+        # the code table and the O table are private state too
+        for name in ("_codes", "_undecidable"):
+            assert name not in repr(a)
+            object.__setattr__(b, name, ~getattr(b, name))
+            assert a == b
+            assert repr(a) == repr(b)
 
     def test_code_table_is_the_same_however_the_gallery_is_built(
             self, tmp_path, base_bits):
@@ -1060,12 +1088,14 @@ class TestGalleryMatrix:
                      flipped(base_bits, 0, 100, "alice", "alice_2"),
                      flipped(base_bits, 0, 500, "bob", "bob_1")]
         grown = Gallery(bands=BANDS)
-        assert grown._codes.size == 0
+        assert grown._codes.size == grown._undecidable.size == 0
         assert enroll(grown, templates[0]).accepted
-        table = grown._codes
+        tables = grown._codes, grown._undecidable
         for t in templates[1:]:
             assert enroll(grown, t).accepted
-        assert grown._codes is table   # built once, on the first append
+        # both built once, on the first append
+        assert grown._codes is tables[0]
+        assert grown._undecidable is tables[1]
         save_gallery(grown, tmp_path / "g.json")
         want = [int(psi(classify(k / 1000, BANDS))) for k in range(1001)]
         # 0.6 and 0.75 are k/1000 scores: D and I at the thresholds
@@ -1076,8 +1106,13 @@ class TestGalleryMatrix:
             assert gallery._codes.dtype == np.uint8
             assert gallery._codes.tolist() == want
             assert not gallery._codes.flags.writeable
+            assert gallery._undecidable.dtype == bool
+            assert gallery._undecidable.tolist() == \
+                (gallery._codes == psi(MODAL_O)).tolist()
+            assert not gallery._undecidable.flags.writeable
         save_gallery(Gallery(bands=BANDS), tmp_path / "empty.json")
-        assert load_gallery(tmp_path / "empty.json")._codes.size == 0
+        empty = load_gallery(tmp_path / "empty.json")
+        assert empty._codes.size == empty._undecidable.size == 0
 
     def test_a_built_gallery_calls_no_classifier(self, base_bits,
                                                  monkeypatch):

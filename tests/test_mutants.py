@@ -28,6 +28,10 @@ def test_a_neg_mutant_is_killed_and_no_edit_survives(tmp_path):
     assert killed["killed_by"].startswith("tests/test_octal_algebra.py::")
     # the same run on an unchanged copy passes, so the kill is the edit's
     assert (unchanged["status"], unchanged["killed_by"]) == ("survived", None)
+    # the command exits 1 on a survivor or a stale mutant, 0 on kills alone
+    assert mutants.exit_status(results) == 1
+    assert mutants.exit_status([killed]) == 0
+    assert mutants.exit_status([killed, dict(killed, status="stale")]) == 1
 
 
 def test_committed_mutants_are_not_stale():
