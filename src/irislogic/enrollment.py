@@ -132,7 +132,10 @@ def _agreements(rows: np.ndarray, row: np.ndarray,
     summation order and the counts are those of an integer sum."""
     dtype = np.float32 if bit_length < 1 << 24 else np.float64
     counts = np.bitwise_count(rows ^ row).astype(dtype)
-    return bit_length - (counts @ _ones(row.size, dtype)).astype(np.intp)
+    # BLAS may flag "invalid" on whole-number sums; a NaN warns in the cast
+    with np.errstate(invalid="ignore"):
+        sums = counts @ _ones(row.size, dtype)
+    return bit_length - sums.astype(np.intp)
 
 
 @cache
@@ -293,17 +296,20 @@ class EnrollResult:
 _ADMITTED = EnrollResult(accepted=True)
 
 
-def _compare(gallery: Gallery,
-             t: Template) -> tuple[np.ndarray, tuple[str, ...]]:
-    """One-to-all comparison of t against a non-empty gallery of its bit
-    length: t's agreement count with each enrolled template, in row order,
-    and the ids of the templates whose comparison is undecidable (O), read
-    from the gallery's O table."""
+def _compare(gallery: Gallery, t: Template, start: int = 0
+             ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The one comparison of t with a non-empty gallery's rows from row
+    start on (0 for the gate and verify, k + 1 for the audit of row k),
+    refusing a t of another bit length: t's agreement counts, in row order,
+    the positions m of those that the O table marks undecidable, and the
+    ids of the rows start + m."""
+    _require_bit_length(t.bits.size, gallery.bit_length())
     enrolled = gallery.enrolled
-    agree = _agreements(gallery._rows[:len(enrolled)], t.packed, t.bits.size)
+    agree = _agreements(gallery._rows[start:len(enrolled)], t.packed,
+                        t.bits.size)
     hits = np.flatnonzero(gallery._undecidable[agree])
-    return agree, (tuple([enrolled[k].template_id for k in hits.tolist()])
-                   if hits.size else ())
+    return agree, hits, (tuple([enrolled[start + m].template_id
+                                for m in hits.tolist()]) if hits.size else ())
 
 
 def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
@@ -316,8 +322,7 @@ def enroll(gallery: Gallery, candidate: Template) -> EnrollResult:
     if candidate.template_id in gallery._ids:
         raise ValueError(f"duplicate template_id {candidate.template_id!r}")
     if gallery.enrolled:
-        _require_bit_length(candidate.bits.size, gallery.bit_length())
-        conflicts = _compare(gallery, candidate)[1]
+        conflicts = _compare(gallery, candidate)[2]
         if conflicts:
             return EnrollResult(accepted=False, conflicting_ids=conflicts)
     gallery._append(candidate)
@@ -355,8 +360,7 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
     if not claimed:
         raise ValueError(
             f"identity {claim.claimed_identity!r} is not enrolled")
-    _require_bit_length(probe.bits.size, gallery.bit_length())
-    agree, conflicts = _compare(gallery, probe)
+    agree, _, conflicts = _compare(gallery, probe)
     bit_length = probe.bits.size
     if [similarity(probe, gallery.enrolled[k]) for k in claimed] != \
             (agree[claimed] / bit_length).tolist():
@@ -398,12 +402,11 @@ class ConsistencyReport:
 
 
 def consistency_check(gallery: Gallery) -> ConsistencyReport:
-    """Re-classify every enrolled pair from scratch, one row at a time,
-    by the code table's entry for each pair's agreement count. A row's label
-    is its key in the identity map: identities compare by equality."""
+    """Re-classify every pair from scratch: _compare compares each row with
+    the rows after it, and the code table codes each agreement count. A row's
+    label is its key in the identity map: identities compare by equality."""
     enrolled = gallery.enrolled
     n = len(enrolled)
-    rows = gallery._rows[:n]
     labels = np.empty(n, np.intp)
     for label, members in enumerate(gallery._members.values()):
         labels[members] = label
@@ -411,14 +414,12 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
     undecidable: list[tuple[str, str, float]] = []
     bins = np.zeros(16, np.intp)
     for k in range(n - 1):
-        agree = _agreements(rows[k + 1:], rows[k], bit_length)
-        codes = gallery._codes[agree]
-        undecidable += [(enrolled[k].template_id,
-                         enrolled[k + 1 + m].template_id,
+        agree, hits, ids = _compare(gallery, enrolled[k], k + 1)
+        undecidable += [(enrolled[k].template_id, other,
                          int(agree[m]) / bit_length)
-                        for m in np.flatnonzero(codes == CODE_O)]
-        bins += np.bincount(codes + 8 * (labels[k + 1:] == labels[k]),
-                            minlength=16)
+                        for m, other in zip(hits.tolist(), ids)]
+        bins += np.bincount(gallery._codes[agree]
+                            + 8 * (labels[k + 1:] == labels[k]), minlength=16)
     tally = _tally(bins[:8] + bins[8:])
     return ConsistencyReport(
         passed=not tally.uicp_tag, pair_count=tally.icp_count,
@@ -433,7 +434,8 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
+    """The hex payload of bits, which Template checks as it checks its own."""
+    return np.packbits(Template(bits, "", "").bits).tobytes().hex()
 
 
 def _payload(hex_string: str, bit_length: int) -> bytes:

@@ -138,9 +138,10 @@ MUTANTS = [
             "test_gate_matches_scalar_reference")),
     Mutant("_compare: no conflicting ids even when a comparison is O",
            ENROLLMENT,
-           "return agree, (tuple([enrolled[k].template_id for k in "
-           "hits.tolist()])\n                   if hits.size else ())",
-           "return agree, ()",
+           "return agree, hits, (tuple([enrolled[start + m].template_id\n"
+           "                                for m in hits.tolist()]) if "
+           "hits.size else ())",
+           "return agree, hits, ()",
            (f"{TEST_ENROLLMENT}::TestEnroll::"
             "test_admitted_results_are_one_frozen_value",
             f"{TEST_ENROLLMENT}::TestEnroll::"
@@ -193,6 +194,24 @@ MUTANTS = [
            "        a = np.frombuffer(block, dtype=np.uint8)\n",
            (f"{TEST_CALIBRATION}::TestFileFormats::"
             "test_scan_block_size_changes_nothing",)),
+    # the one comparison the gate, verify and the audit share
+    Mutant("_compare: compares from row 0 whatever its start row",
+           ENROLLMENT, "gallery._rows[start:len(enrolled)]",
+           "gallery._rows[:len(enrolled)]",
+           (f"{TEST_ENROLLMENT}::TestConsistencyCheck",)),
+    Mutant("_compare: no bit-length check", ENROLLMENT,
+           "    _require_bit_length(t.bits.size, gallery.bit_length())\n", "",
+           (f"{TEST_ENROLLMENT}::TestSimilarity::test_length_mismatch",)),
+    Mutant("consistency_check: an undecidable hit takes the neighbouring "
+           "row's agreement count", ENROLLMENT, "int(agree[m]) / bit_length",
+           "int(agree[m - 1]) / bit_length",
+           (f"{TEST_ENROLLMENT}::TestConsistencyCheck::"
+            "test_planted_uncertain_pair_fails",)),
+    Mutant("bits_to_hex: bits that Template refuses are packed", ENROLLMENT,
+           'np.packbits(Template(bits, "", "").bits)',
+           "np.packbits(np.asarray(bits, dtype=np.uint8))",
+           (f"{TEST_ENROLLMENT}::TestPersistence::"
+            "test_bits_to_hex_refuses_what_template_refuses",)),
 ]
 
 

@@ -791,8 +791,11 @@ class TestConsistencyCheck:
         assert empty.passed and empty.pair_count == 0
 
     def test_planted_uncertain_pair_fails(self, base_bits):
+        # alice_1's O pair is its second comparison, after a crisp D (0.5),
+        # so its score is not its neighbour's
         gallery = Gallery(bands=BANDS, enrolled=[
             tpl(base_bits, "alice", "alice_1"),
+            flipped(base_bits, 0, 500, "carol", "carol_1"),
             flipped(base_bits, 0, 300, "bob", "bob_1")])
         report = consistency_check(gallery)
         assert not report.passed
@@ -1276,14 +1279,22 @@ class TestPersistence:
     def test_bits_from_hex_matches_slice_and_copy(self):
         rng = np.random.default_rng(45)
         for bit_length in range(46):
-            payload = bits_to_hex(rng.integers(0, 2, bit_length,
-                                               dtype=np.uint8))
+            bits = rng.integers(0, 2, bit_length, dtype=np.uint8)
+            # bits_to_hex refuses empty bits, as Template does
+            payload = bits_to_hex(bits) if bit_length else ""
             got = bits_from_hex(payload, bit_length)
             want = np.unpackbits(np.frombuffer(
                 bytes.fromhex(payload), np.uint8))[:bit_length].copy()
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert got.flags.writeable and got.base is None
+
+    @pytest.mark.parametrize("bits", [[0.9, 1], [2, 0, 1], [],
+                                      np.array([[0, 1], [1, 0]])])
+    def test_bits_to_hex_refuses_what_template_refuses(self, bits):
+        # the uint8 cast would cut 0.9 to 0, and np.packbits reads 2 as 1
+        with pytest.raises(ValueError, match="^bits must"):
+            bits_to_hex(bits)
 
     def test_hex_padding_must_be_zero(self):
         bits = np.ones(12, dtype=np.uint8)

@@ -38,3 +38,11 @@ def test_committed_mutants_are_not_stale():
     for mutant in mutants.MUTANTS:
         text = (mutants.ROOT / "src" / mutant.path).read_text()
         assert text.count(mutant.old) == 1, mutant.name
+
+
+def test_committed_record_lists_every_mutant_killed():
+    # the committed MUTANTS.json is the record of a full run of MUTANTS
+    record = json.loads((mutants.ROOT / "MUTANTS.json").read_text())
+    assert [(r["name"], r["file"], r["tests"], r["status"])
+            for r in record] == [(m.name, m.path, list(m.tests), "killed")
+                                 for m in mutants.MUTANTS]
