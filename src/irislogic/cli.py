@@ -123,8 +123,10 @@ def cmd_simulate(args) -> int:
     templates = enrollment.generate_population(
         args.identities, args.samples_per, args.bits, args.flip, args.seed)
     i, j, scores = enrollment.pair_scores(templates)
-    _, identity = np.unique([t.identity for t in templates],
-                            return_inverse=True)
+    # identities compare by equality, as in a gallery's identity map
+    first: dict = {}
+    identity = np.array([first.setdefault(t.identity, len(first))
+                         for t in templates])
     calibration.write_scores_csv(
         args.out, [t.template_id for t in templates], i, j,
         identity[i] == identity[j], scores)

@@ -38,53 +38,64 @@ from .decision_engine import (
 from .octal_algebra import BOTTOM, Octal, sum_
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Template:
     """One enrolled or candidate binary code.
 
-    bits is the template's own read-only copy of the code. packed holds the
-    same bits as uint64 words (_words), the form the XOR/popcount scoring
-    reads; it is read-only too, because a gallery copies it once into its
-    own matrix.
+    A template is its bit_length L and packed, the code as read-only uint64
+    words (_words), the form the XOR/popcount scoring reads; a gallery
+    copies packed once into its own matrix. Template(bits, identity,
+    template_id) checks and packs a 0/1 array and keeps no copy of it: bits
+    is a read-only 0/1 uint8 array unpacked from packed on each access.
     """
 
-    bits: np.ndarray
     identity: str
     template_id: str
-    packed: np.ndarray = field(init=False, repr=False)
+    bit_length: int
+    packed: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if any(x != x for x in (self.identity, self.template_id)):
+    def __init__(self, bits, identity: str, template_id: str) -> None:
+        if any(x != x for x in (identity, template_id)):
             raise ValueError("identity and template_id must equal themselves")
-        raw = np.asarray(self.bits)
+        raw = np.asarray(bits)
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("bits must be a non-empty 1-d array")
         # a cast from other dtypes would wrap 256 to 0 and cut 0.9 to 0
         if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("bits must contain only 0 and 1")
-        # a fresh one-row matrix: no array that bits[0] views stays writable
-        bits = raw[None].astype(np.uint8)
-        packed = _words(bits, np.packbits(bits, axis=1))
-        object.__setattr__(self, "bits", bits[0])
-        object.__setattr__(self, "packed", packed[0])
+        packed = _words(np.packbits(raw.astype(np.uint8))[None], raw.size)
+        # vars() skips the frozen __setattr__, as object.__setattr__ does
+        vars(self).update(identity=identity, template_id=template_id,
+                          bit_length=raw.size, packed=packed[0])
+
+    @property
+    def bits(self) -> np.ndarray:
+        bits = np.unpackbits(self.packed.view(np.uint8), count=self.bit_length)
+        bits.setflags(write=False)
+        return bits
 
 
-def _words(bits: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """The uint64 word matrix of templates' bits: raw holds the rows of the
-    0/1 uint8 matrix bits as np.packbits bytes, zero-padded here to whole
-    words. bits and the word matrix are made read-only."""
-    packed = np.zeros((len(raw), -(-bits.shape[1] // 64) * 8), np.uint8)
+def _words(raw: np.ndarray, bit_length: int) -> np.ndarray:
+    """The read-only uint64 word matrix of templates' codes: raw holds one
+    code of bit_length bits per row as np.packbits bytes, zero-padded here
+    to whole words."""
+    packed = np.zeros((len(raw), -(-bit_length // 64) * 8), np.uint8)
     packed[:, :raw.shape[1]] = raw
-    bits.setflags(write=False)
     packed.setflags(write=False)
     return packed.view(np.uint64)
 
 
 def similarity(a: Template, b: Template) -> float:
-    """Fraction of agreeing bits; templates must share a length."""
-    _require_bit_length(a.bits.size, b.bits.size)
-    agreements = a.bits.size - int(np.count_nonzero(a.bits != b.bits))
-    return agreements / a.bits.size
+    """Fraction of agreeing bits; templates must share a length.
+
+    The scalar reference: it counts the differing bits of the packed words
+    read as one big-endian Python int each, shifted past the padding bits,
+    and shares no code with the array kernel (_agreements)."""
+    _require_bit_length(a.bit_length, b.bit_length)
+    differ = ((int.from_bytes(a.packed.tobytes(), "big")
+               ^ int.from_bytes(b.packed.tobytes(), "big"))
+              >> (64 * a.packed.size - a.bit_length)).bit_count()
+    return (a.bit_length - differ) / a.bit_length
 
 
 def generate_population(identities: int, samples_per_identity: int,
@@ -94,11 +105,11 @@ def generate_population(identities: int, samples_per_identity: int,
 
     Each identity gets a uniform random master code; every sample flips each
     master bit independently with the given probability. The same seed and
-    parameters reproduce the population bit for bit. The samples are drawn
-    into one (identities x samples, bit_length) matrix, identity by
-    identity, and each template's bits and packed are read-only rows of
-    that matrix and its packed form (_row_templates); Template() is not
-    called.
+    parameters reproduce the population bit for bit. Each identity's
+    samples are drawn as one (samples, bit_length) matrix and packed into
+    one byte matrix for the whole population, so no unpacked matrix
+    outlives its identity; each template's packed is a read-only row of
+    that matrix's words (_row_templates), and Template() is not called.
     """
     if identities < 1 or samples_per_identity < 1 or bit_length < 1:
         raise ValueError("identities, samples and bit_length must be >= 1")
@@ -106,13 +117,17 @@ def generate_population(identities: int, samples_per_identity: int,
         raise ValueError(
             f"flip_probability must be in [0, 0.5), got {flip_probability!r}")
     rng = np.random.default_rng(seed)
-    bits = np.empty((identities * samples_per_identity, bit_length), np.uint8)
-    for samples in bits.reshape(identities, -1, bit_length):
+    raw = np.empty((identities, samples_per_identity, -(-bit_length // 8)),
+                   np.uint8)
+    for packed in raw:
         master = rng.integers(0, 2, size=bit_length, dtype=np.uint8)
-        samples[:] = master ^ (rng.random(samples.shape) < flip_probability)
+        packed[:] = np.packbits(master ^ (rng.random(
+            (samples_per_identity, bit_length)) < flip_probability), axis=1)
     names = [(f"id{i:04d}", f"id{i:04d}_s{j:03d}") for i in range(identities)
              for j in range(samples_per_identity)]
-    return _row_templates(bits, np.packbits(bits, axis=1), *zip(*names))
+    # a numpy integer bit_length would reach save_gallery's JSON
+    return _row_templates(raw.reshape(len(names), -1), int(bit_length),
+                          *zip(*names))
 
 
 def _require_bit_length(bit_length: int, other: int) -> None:
@@ -155,9 +170,9 @@ def pair_scores(templates: list[Template]) -> tuple[np.ndarray, ...]:
     i, j = np.triu_indices(len(templates), 1)
     if len(templates) < 2:
         return i, j, np.empty(0)
-    bit_length = templates[0].bits.size
+    bit_length = templates[0].bit_length
     for t in templates:
-        _require_bit_length(bit_length, t.bits.size)
+        _require_bit_length(bit_length, t.bit_length)
     packed = np.stack([t.packed for t in templates])
     # one preallocated column, not a list of rows to concatenate, which
     # would double the peak
@@ -251,7 +266,7 @@ class Gallery:
     def __post_init__(self) -> None:
         enrolled = tuple(self.enrolled)
         for t in enrolled:
-            _require_bit_length(enrolled[0].bits.size, t.bits.size)
+            _require_bit_length(enrolled[0].bit_length, t.bit_length)
             if t.template_id in self._ids:
                 raise ValueError(f"duplicate template_id {t.template_id!r}")
             self._append(t)
@@ -262,7 +277,7 @@ class Gallery:
         checked t's bit length and that its id is new."""
         n = len(self._ids)
         if not n:
-            bit_length = t.bits.size
+            bit_length = t.bit_length
             codes = classify_many(np.arange(bit_length + 1) / bit_length,
                                   self.bands)
             undecidable = codes == CODE_O
@@ -283,7 +298,7 @@ class Gallery:
         return set(self._members)
 
     def bit_length(self) -> int | None:
-        return self.enrolled[0].bits.size if self.enrolled else None
+        return self.enrolled[0].bit_length if self.enrolled else None
 
 
 @dataclass(frozen=True)
@@ -303,10 +318,10 @@ def _compare(gallery: Gallery, t: Template, start: int = 0
     refusing a t of another bit length: t's agreement counts, in row order,
     the positions m of those that the O table marks undecidable, and the
     ids of the rows start + m."""
-    _require_bit_length(t.bits.size, gallery.bit_length())
+    _require_bit_length(t.bit_length, gallery.bit_length())
     enrolled = gallery.enrolled
     agree = _agreements(gallery._rows[start:len(enrolled)], t.packed,
-                        t.bits.size)
+                        t.bit_length)
     hits = np.flatnonzero(gallery._undecidable[agree])
     return agree, hits, (tuple([enrolled[start + m].template_id
                                 for m in hits.tolist()]) if hits.size else ())
@@ -361,7 +376,7 @@ def verify(gallery: Gallery, probe: Template, claim: Claim) -> VerifyResult:
         raise ValueError(
             f"identity {claim.claimed_identity!r} is not enrolled")
     agree, _, conflicts = _compare(gallery, probe)
-    bit_length = probe.bits.size
+    bit_length = probe.bit_length
     if [similarity(probe, gallery.enrolled[k]) for k in claimed] != \
             (agree[claimed] / bit_length).tolist():
         raise RuntimeError("packed scores disagree with similarity() on the "
@@ -434,8 +449,10 @@ def consistency_check(gallery: Gallery) -> ConsistencyReport:
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
-    """The hex payload of bits, which Template checks as it checks its own."""
-    return np.packbits(Template(bits, "", "").bits).tobytes().hex()
+    """The hex payload of bits, which Template checks as it checks its own:
+    the first ceil(L / 8) bytes of its packed words."""
+    t = Template(bits, "", "")
+    return t.packed.view(np.uint8)[:-(-t.bit_length // 8)].tobytes().hex()
 
 
 def _payload(hex_string: str, bit_length: int) -> bytes:
@@ -492,19 +509,18 @@ def save_gallery(gallery: Gallery, path) -> None:
         fh.write(_json_text(doc))
 
 
-def _row_templates(bits: np.ndarray, raw: np.ndarray, identities,
+def _row_templates(raw: np.ndarray, bit_length: int, identities,
                    template_ids) -> list[Template]:
-    """Templates whose bits and packed are read-only rows of two matrices
-    that only they reference. bits is a 0/1 uint8 matrix, one row per
-    template, that the caller has checked or drawn itself, and raw holds
-    its rows as np.packbits bytes, so no row is checked or packed again."""
+    """Templates of bit_length bits whose packed are read-only rows of one
+    word matrix that only they reference. raw holds one code per row as
+    np.packbits bytes that the caller has checked or drawn itself, so no
+    row is checked or packed again."""
     templates = []
-    for row, words, identity, template_id in zip(
-            bits, _words(bits, raw), identities, template_ids):
+    for words, identity, template_id in zip(
+            _words(raw, bit_length), identities, template_ids):
         t = object.__new__(Template)
-        # vars() skips the frozen __setattr__, as object.__setattr__ does
-        vars(t).update(bits=row, identity=identity, template_id=template_id,
-                       packed=words)
+        vars(t).update(identity=identity, template_id=template_id,
+                       bit_length=bit_length, packed=words)
         templates.append(t)
     return templates
 
@@ -515,8 +531,8 @@ def load_gallery(path) -> Gallery:
     Each entry's payload is decoded and checked on its own, then its
     identity and template_id, so an error is the first bad entry's own; a
     repeated template_id is refused once every entry has decoded. The
-    payloads are then unpacked at once, and each template's bits and packed
-    are read-only rows of one matrix per file.
+    payloads are then padded to whole words at once, never unpacked, and
+    each template's packed is a read-only row of one matrix per file.
     """
     with _reading(path, "gallery") as fh:
         doc = json.load(fh)
@@ -543,5 +559,4 @@ def load_gallery(path) -> Gallery:
         raw = np.frombuffer(b"".join(payloads), np.uint8).reshape(
             len(payloads), -1)
         return Gallery(bands=bands, enrolled=_row_templates(
-            np.unpackbits(raw, axis=1, count=bit_length), raw, identities,
-            template_ids))
+            raw, bit_length, identities, template_ids))

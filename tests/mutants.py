@@ -104,8 +104,8 @@ MUTANTS = [
            "or raw and raw[-1] & padding:", ":",
            (f"{TEST_ENROLLMENT}::TestPersistence::"
             "test_hex_padding_must_be_zero",)),
-    Mutant("_words: bits is left writable", ENROLLMENT,
-           "    bits.setflags(write=False)\n", "",
+    Mutant("Template.bits: the unpacked view is left writable", ENROLLMENT,
+           "        bits.setflags(write=False)\n", "",
            (f"{TEST_ENROLLMENT}::TestTemplate::"
             "test_bits_are_a_read_only_copy",)),
     Mutant("atomic_write: the permission bits are not copied", CALIBRATION,
@@ -152,8 +152,8 @@ MUTANTS = [
             "test_ones_vector_is_made_once_and_read_only",)),
     # from the open harvest list
     Mutant("_row_templates: identity and template_id are swapped",
-           ENROLLMENT, "identity=identity, template_id=template_id,",
-           "identity=template_id, template_id=identity,",
+           ENROLLMENT, "_words(raw, bit_length), identities, template_ids)",
+           "_words(raw, bit_length), template_ids, identities)",
            (f"{TEST_ENROLLMENT}::TestGeneratePopulation::"
             "test_shape_and_naming",
             f"{TEST_ENROLLMENT}::TestPersistence::"
@@ -200,7 +200,7 @@ MUTANTS = [
            "gallery._rows[:len(enrolled)]",
            (f"{TEST_ENROLLMENT}::TestConsistencyCheck",)),
     Mutant("_compare: no bit-length check", ENROLLMENT,
-           "    _require_bit_length(t.bits.size, gallery.bit_length())\n", "",
+           "    _require_bit_length(t.bit_length, gallery.bit_length())\n", "",
            (f"{TEST_ENROLLMENT}::TestSimilarity::test_length_mismatch",)),
     Mutant("consistency_check: an undecidable hit takes the neighbouring "
            "row's agreement count", ENROLLMENT, "int(agree[m]) / bit_length",
@@ -208,10 +208,36 @@ MUTANTS = [
            (f"{TEST_ENROLLMENT}::TestConsistencyCheck::"
             "test_planted_uncertain_pair_fails",)),
     Mutant("bits_to_hex: bits that Template refuses are packed", ENROLLMENT,
-           'np.packbits(Template(bits, "", "").bits)',
-           "np.packbits(np.asarray(bits, dtype=np.uint8))",
+           '    t = Template(bits, "", "")\n'
+           "    return t.packed.view(np.uint8)[:-(-t.bit_length // 8)]"
+           ".tobytes().hex()",
+           "    return np.packbits(np.asarray(bits, dtype=np.uint8))"
+           ".tobytes().hex()",
            (f"{TEST_ENROLLMENT}::TestPersistence::"
             "test_bits_to_hex_refuses_what_template_refuses",)),
+    # a template is its packed words: the view, the reference, the padding
+    Mutant("Template.bits: the view unpacks in little-endian bit order",
+           ENROLLMENT, "count=self.bit_length)",
+           'count=self.bit_length, bitorder="little")',
+           (f"{TEST_ENROLLMENT}::TestTemplate::"
+            "test_bits_round_trip_as_a_fresh_read_only_array",)),
+    Mutant("similarity: the padding bits are not shifted out", ENROLLMENT,
+           "              >> (64 * a.packed.size - a.bit_length)).bit_count()",
+           "              ).bit_count()",
+           (f"{TEST_ENROLLMENT}::TestSimilarity::"
+            "test_padding_bits_are_not_counted",)),
+    Mutant("similarity: the packed words are read little-endian", ENROLLMENT,
+           'int.from_bytes(a.packed.tobytes(), "big")\n'
+           '               ^ int.from_bytes(b.packed.tobytes(), "big")',
+           'int.from_bytes(a.packed.tobytes(), "little")\n'
+           '               ^ int.from_bytes(b.packed.tobytes(), "little")',
+           (f"{TEST_ENROLLMENT}::TestSimilarity::"
+            "test_matches_a_count_on_bits",)),
+    Mutant("_words: the padding bytes are left unzeroed", ENROLLMENT,
+           "packed = np.zeros((len(raw), -(-bit_length // 64) * 8), np.uint8)",
+           "packed = np.empty((len(raw), -(-bit_length // 64) * 8), np.uint8)",
+           (f"{TEST_ENROLLMENT}::TestTemplate::"
+            "test_padding_words_are_zeroed",)),
 ]
 
 

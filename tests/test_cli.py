@@ -22,7 +22,7 @@ import irislogic
 from irislogic import cli
 from irislogic.calibration import read_bands_json, write_bands_json
 from irislogic.cli import main
-from irislogic.enrollment import bits_to_hex
+from irislogic.enrollment import Template, bits_to_hex
 
 from table_data import (
     CHAINS,
@@ -183,6 +183,20 @@ class TestSimulateCommand:
         data = path.read_bytes()
         assert data.count(b"\n") == 4951      # header + C(100, 2) pairs
         assert hashlib.sha256(data).hexdigest() == sha256
+
+    def test_genuine_pairs_share_an_equal_identity(self, run, tmp_path,
+                                                    monkeypatch):
+        # identities compare by equality, as in a gallery's identity map:
+        # 1 and "1" are two identities, 1 and 1.0 are one
+        population = [Template(np.zeros(8, np.uint8), identity, f"t{k}")
+                      for k, identity in enumerate([1, "1", 1.0])]
+        monkeypatch.setattr(cli.enrollment, "generate_population",
+                            lambda *args: population)
+        path = tmp_path / "s.csv"
+        assert run(["simulate", "--identities", "1", "--samples-per", "3",
+                    "--out", str(path)])[0] == 0
+        assert path.read_text().splitlines()[1:] == [
+            "t0:t1,imposter,1.0", "t0:t2,genuine,1.0", "t1:t2,imposter,1.0"]
 
     def test_memory_stays_bounded(self, tmp_path):
         # 499,500 rows; a writer holding every row as a Python object

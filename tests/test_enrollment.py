@@ -51,6 +51,12 @@ from table_data import GALLERY_12_BITS
 BANDS = ScoreBands(n=0.6, p=0.75, target_rate=1e-6)
 
 
+def code_arrays(lengths):
+    """0/1 uint8 arrays whose lengths are drawn from lengths."""
+    return lengths.flatmap(lambda n: hnp.arrays(np.uint8, n,
+                                                elements=st.integers(0, 1)))
+
+
 def tpl(bits, identity="x", template_id="x_1"):
     return Template(bits=np.asarray(bits, dtype=np.uint8),
                     identity=identity, template_id=template_id)
@@ -236,8 +242,56 @@ class TestTemplate:
         assert np.array_equal(unpacked[:bit_length], bits)
         assert not unpacked[bit_length:].any()
 
+    @settings(max_examples=100, deadline=None)
+    @given(bits=code_arrays(st.integers(1, 130)))
+    def test_bits_round_trip_as_a_fresh_read_only_array(self, bits):
+        t = tpl(bits)
+        first, second = t.bits, t.bits
+        assert first.dtype == np.uint8 and first.tolist() == bits.tolist()
+        assert not first.flags.writeable
+        # unpacked from packed on each access: no array is kept or shared
+        assert not np.shares_memory(first, second)
+        assert t.bit_length == bits.size
+
+    def test_padding_words_are_zeroed(self):
+        # the bytes past the np.packbits row are padding whatever memory
+        # the word matrix is given, for built and generated templates
+        for bit_length in range(1, 131):
+            ones = np.ones(bit_length, np.uint8)
+            for t in (tpl(ones), *generate_population(1, 3, bit_length, 0.0,
+                                                      bit_length)):
+                assert not np.unpackbits(
+                    t.packed.view(np.uint8))[bit_length:].any(), bit_length
+
 
 class TestSimilarity:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.one_of(st.integers(1, 130), st.just(2048)).flatmap(
+        lambda n: st.tuples(code_arrays(st.just(n)),
+                            code_arrays(st.just(n)))))
+    # every bit differs, so a shift that drops code bits shows
+    @example(pair=(np.zeros(130, np.uint8), np.ones(130, np.uint8)))
+    def test_matches_a_count_on_bits(self, pair):
+        a, b = tpl(pair[0]), tpl(pair[1], "y", "y_1")
+        bit_length = pair[0].size
+        assert similarity(a, b) == \
+            (bit_length - np.count_nonzero(a.bits != b.bits)) / bit_length
+
+    @pytest.mark.parametrize("bit_length", [1, 7, 63, 65, 130, 2047])
+    def test_padding_bits_are_not_counted(self, bit_length):
+        # a padding byte a faulty _words left set: the reference and the
+        # unpacked view skip it, so it shows against the packed kernel
+        clean = tpl(np.ones(bit_length, np.uint8))
+        raw = clean.packed.view(np.uint8).copy()
+        raw[-1] = 0xFF
+        corrupt, = enrollment._row_templates(raw[None], bit_length, ["y"],
+                                             ["y_1"])
+        assert corrupt.packed.view(np.uint8)[-1] == 0xFF
+        assert corrupt.bits.tolist() == clean.bits.tolist()
+        assert similarity(clean, corrupt) == similarity(corrupt, clean) == 1.0
+        assert enrollment._agreements(corrupt.packed[None], clean.packed,
+                                      bit_length).tolist() != [bit_length]
+
     def test_exact_values(self):
         a = tpl([1, 0, 1, 0])
         assert similarity(a, a) == 1.0
@@ -304,7 +358,18 @@ class TestGeneratePopulation:
         assert pop[0].template_id == "id0000_s000"
         assert pop[11].identity == "id0002"
         assert pop[11].template_id == "id0002_s003"
-        assert all(t.bits.size == 128 for t in pop)
+        assert all(t.bits.size == t.bit_length == 128 for t in pop)
+
+    def test_templates_keep_no_unpacked_bits(self):
+        for t in generate_population(2, 2, 128, 0.1, seed=5):
+            assert not any(isinstance(v, np.ndarray) and v.size == 128
+                           for v in vars(t).values())
+
+    def test_a_numpy_bit_length_saves_as_a_json_integer(self, tmp_path):
+        pop = generate_population(2, 2, np.int64(128), 0.1, seed=5)
+        assert all(type(t.bit_length) is int for t in pop)
+        save_gallery(Gallery(bands=BANDS, enrolled=pop), tmp_path / "g.json")
+        assert load_gallery(tmp_path / "g.json").bit_length() == 128
 
     def test_deterministic(self):
         first = generate_population(4, 3, 256, 0.12, seed=42)
@@ -1329,6 +1394,17 @@ class TestPersistence:
         assert all(np.array_equal(a.bits, b.bits)
                    for a, b in zip(loaded.enrolled, gallery.enrolled))
 
+    def test_loaded_templates_keep_no_unpacked_bits(self, tmp_path,
+                                                    base_bits):
+        path = tmp_path / "gallery.json"
+        save_gallery(Gallery(bands=BANDS, enrolled=[
+            tpl(base_bits, "alice", "alice_1"),
+            flipped(base_bits, 0, 500, "bob", "bob_1")]), path)
+        for t in load_gallery(path).enrolled:
+            assert t.bit_length == base_bits.size
+            assert not any(isinstance(v, np.ndarray) and v.size == t.bit_length
+                           for v in vars(t).values())
+
     def test_save_is_byte_stable(self, tmp_path, base_bits):
         gallery = Gallery(bands=BANDS)
         enroll(gallery, tpl(base_bits, "alice", "alice_1"))
@@ -1555,7 +1631,7 @@ class TestPersistence:
 
         monkeypatch.setattr(enrollment, "bits_from_hex", refuse)
         monkeypatch.setattr(np, "packbits", refuse)
-        monkeypatch.setattr(Template, "__post_init__", refuse)
+        monkeypatch.setattr(Template, "__init__", refuse)
         loaded_gallery, load_peak = traced_peak(load_gallery, path)
         assert load_peak <= 4.5 * 2 ** 20
         assert traced_peak(save_gallery, gallery, path)[1] <= 4 * 2 ** 20
